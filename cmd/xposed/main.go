@@ -2,10 +2,10 @@
 // over a length-prefixed binary TCP protocol, transposes them in place
 // through the process planner cache (so concurrent same-shape requests
 // share one plan and small ones coalesce into batches), bounds its
-// total in-flight bytes with an admission controller derived from the
-// decomposition's scratch floor, and spills jobs too large for memory
-// through the journaled out-of-core engine — resumable by token across
-// disconnects and daemon restarts.
+// total in-flight bytes with an admission controller charging each job
+// its payload plus the engine's exact scratch, and spills jobs too
+// large for memory through the journaled out-of-core engine —
+// resumable by token across disconnects and daemon restarts.
 //
 // Usage:
 //

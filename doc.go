@@ -65,8 +65,10 @@
 //
 // Options.Method picks the pass structure: Algorithm1 (the paper's
 // scatter-based Algorithm 1), GatherOnly (the gather formulation used by
-// the paper's parallel CPU implementation, §5.1), CacheAware (coarse/fine
-// rotations and cycle-following row permutes, §4.6–4.7, §5.2), or
+// the paper's parallel CPU implementation, §5.1), CacheAware (column
+// operations as one-sweep tiled gathers through the closed-form source
+// rows, with the column shuffle's rotation and row permutation fused —
+// at most three sweeps over the matrix, §4.6–4.7, §5.2), or
 // SkinnyMethod (the banded-sweep formulation of §6.1). The default Auto
 // runs the cache-aware engine with the shape heuristic of §5.2: the C2R
 // and R2C pipelines have complementary performance landscapes with a

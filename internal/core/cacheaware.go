@@ -7,16 +7,37 @@ import (
 	"inplace/internal/perm"
 )
 
-// This file implements the cache-aware column operations of §4.6 and
-// §4.7. Column rotations are split into a coarse phase — rotating whole
-// cache-line-wide sub-rows by a per-group common amount via the analytic
-// rotation cycles — and a fine phase that applies the small residual
-// rotations with a single forward sweep over bounded-lookahead bands.
-// The row permute moves whole sub-rows along precomputed cycles of q.
-//
-// Like passes.go, the work is written as range kernels drawing scratch
-// from a caller-provided frame, shared between the legacy one-shot
-// functions and the zero-allocation Engine path.
+// This file implements the paper's cache-aware column operations of
+// §4.6 and §4.7 as the reproduction kernels behind the Pass* entry
+// points and the ablation benchmarks; the Engine's cache-aware pipeline
+// runs the tiled passes of tile.go instead. Column rotations are split
+// into a coarse phase — rotating whole cache-line-wide sub-rows by a
+// per-group common amount via the analytic rotation cycles — and a fine
+// phase that applies the small residual rotations with a single forward
+// sweep over bounded-lookahead bands. The row permute moves whole
+// sub-rows along precomputed cycles of q; the skinny pipeline reuses its
+// whole-row form.
+
+// groupScratch is the coarse/fine rotation's per-chunk scratch: the
+// group amounts and residuals, the sub-row spare, and the fine phase's
+// head band, which grows to the widest band met.
+type groupScratch[T any] struct {
+	am, res []int
+	spare   []T
+	saved   []T
+}
+
+func newGroupScratch[T any](blockW int) *groupScratch[T] {
+	return &groupScratch[T]{am: make([]int, blockW), res: make([]int, blockW), spare: make([]T, blockW)}
+}
+
+// savedBuf returns the head-band buffer of at least n elements.
+func (sc *groupScratch[T]) savedBuf(n int) []T {
+	if cap(sc.saved) < n {
+		sc.saved = make([]T, n)
+	}
+	return sc.saved[:n]
+}
 
 // rotateGroupsRange rotates column j up by amount(j) for every column of
 // the groups [glo, ghi), processing groups of up to blockW adjacent
@@ -28,9 +49,8 @@ import (
 // other.
 //
 //xpose:hotpath
-func rotateGroupsRange[T any](data []T, m, n int, amount func(j int) int, divM mathutil.Divider, blockW int, fr *frame[T], glo, ghi int) {
-	am, res := fr.idx(blockW)
-	spare := fr.spareBuf(blockW)
+func rotateGroupsRange[T any](data []T, m, n int, amount func(j int) int, divM mathutil.Divider, blockW int, sc *groupScratch[T], glo, ghi int) {
+	am, res, spare := sc.am[:blockW], sc.res[:blockW], sc.spare[:blockW]
 	for g := glo; g < ghi; g++ {
 		j0 := g * blockW
 		j1 := j0 + blockW
@@ -84,7 +104,7 @@ func rotateGroupsRange[T any](data []T, m, n int, amount func(j int) int, divM m
 		// Fine phase: forward sweep, out[i][j] = in[(i+res)%m][j].
 		// Writing row i only consumes rows >= i, except wrapped reads
 		// near the bottom, which come from the saved head band.
-		saved := fr.savedBuf(band * w)
+		saved := sc.savedBuf(band * w)
 		for r := 0; r < band; r++ {
 			copy(saved[r*w:r*w+w], data[r*n+j0:r*n+j1])
 		}
@@ -112,7 +132,7 @@ func rotateColumnsCacheAware[T any](data []T, m, n int, amount func(j int) int, 
 	divM := mathutil.NewDivider(m)
 	groups := (n + blockW - 1) / blockW
 	parallel.For(groups, workers, func(_, glo, ghi int) {
-		rotateGroupsRange(data, m, n, amount, divM, blockW, new(frame[T]), glo, ghi)
+		rotateGroupsRange(data, m, n, amount, divM, blockW, newGroupScratch[T](blockW), glo, ghi)
 	})
 }
 
@@ -134,8 +154,8 @@ func rowPermuteWideRange[T any](data []T, n, blockW int, p perm.P, leaders, leng
 }
 
 // rowPermuteNarrowRange permutes whole rows for the cycles led by
-// leaders[lo:hi], each worker moving full n-element rows. spare must
-// hold at least n elements.
+// leaders[lo:hi], each worker moving full n-element rows: the skinny
+// pipeline's row permute. spare must hold at least n elements.
 //
 //xpose:hotpath
 func rowPermuteNarrowRange[T any](data []T, n int, p perm.P, leaders, lengths []int, spare []T, lo, hi int) {

@@ -19,9 +19,10 @@ const (
 	// Gather is the gather-only formulation of §4.2/§5.1 using the
 	// closed-form inverse d'^{-1}: the parallel CPU implementation.
 	Gather
-	// CacheAware is the §5.2 formulation: gather-only row shuffle plus
-	// cache-aware coarse/fine column rotations and a cycle-following
-	// whole-sub-row row permute.
+	// CacheAware is the production pipeline: the incremental row
+	// shuffle plus column passes run as one-sweep tiled gathers with
+	// the paper's closed-form source rows — at most three sweeps over
+	// the matrix, two when gcd(m,n) = 1.
 	CacheAware
 	// Skinny is the §6.1 specialization for matrices with a very small
 	// column count: fused band gathers and whole-row cycle following.
@@ -73,9 +74,9 @@ type Opts struct {
 	// Variant selects the pass structure; the zero value is Scatter
 	// (Algorithm 1).
 	Variant Variant
-	// BlockW is the sub-row width (in elements) used by the cache-aware
-	// passes; 0 selects a width spanning a 64-byte cache line of 8-byte
-	// elements.
+	// BlockW is the tile width, in columns, of the cache-aware column
+	// passes; 0 derives it from the shape and element size (see
+	// TileWidth).
 	BlockW int
 	// Pool, when non-nil, dispatches parallel chunks onto a persistent
 	// worker pool instead of spawning goroutines per pass. Engines never
@@ -83,16 +84,10 @@ type Opts struct {
 	Pool *parallel.Pool
 }
 
-// DefaultBlockW is the default cache-aware sub-row width: eight elements
-// span a 64-byte cache line of 64-bit values.
+// DefaultBlockW is the sub-row width of the reproduction coarse/fine
+// kernels behind the Pass* entry points and the ablation benchmarks:
+// eight elements span a 64-byte cache line of 64-bit values.
 const DefaultBlockW = 8
-
-func (o Opts) blockW() int {
-	if o.BlockW > 0 {
-		return o.BlockW
-	}
-	return DefaultBlockW
-}
 
 // C2R performs the in-place C2R transposition of the flat row-major
 // m×n array described by plan: afterwards data holds the row-major n×m

@@ -12,22 +12,21 @@ import (
 // plan: everything the engines can precompute from the shape and options
 // alone. Building one per call reproduces the old cold path; a Planner
 // builds it once so repeated executions skip the chunk partitioning, the
-// rotation-amount closures, and — the expensive part for skinny shapes —
-// the cycle decomposition of the shared row permutation q.
+// rotation-amount closures, and — the expensive part for the skinny
+// pipeline — the cycle decomposition of the shared row permutation q.
 type Schedule struct {
 	Plan *cr.Plan
 	Opts Opts
 
-	blockW  int
 	workers int
 	pool    *parallel.Pool
 
 	// Chunk partitions for every pass family, precomputed with the
-	// resolved worker count so chunk index == scratch frame index.
-	boundsM      []int // row passes over [0, M)
-	boundsN      []int // column passes over [0, N)
-	boundsGroups []int // cache-aware passes over column groups
-	oneGroup     []int // the skinny row permute's single column group
+	// resolved worker count so chunk index == scratch frame index. The
+	// cache-aware column tiles depend on the element size, so the
+	// typed Engine partitions those.
+	boundsM []int // row passes over [0, M)
+	boundsN []int // column passes over [0, N)
 
 	// Skinny banded path (§6.1).
 	skinnyOK         bool
@@ -40,11 +39,12 @@ type Schedule struct {
 	// Rotation-amount and permutation closures, built once so executions
 	// do not re-box plan methods.
 	rotFn, negRotFn func(int) int
-	idFn, negIDFn   func(int) int
+	negIDFn         func(int) int
 	qFn, qInvFn     func(int) int
 
-	// Cycle descriptors of q and q⁻¹ (§4.7), computed on first use by
-	// the direction that needs them and then shared by every execution.
+	// Cycle descriptors of q and q⁻¹ (§4.7) for the skinny pipeline's
+	// whole-row permute, computed on first use by the direction that
+	// needs them and then shared by every execution.
 	qc2r, qr2c cycles
 }
 
@@ -59,24 +59,20 @@ type cycles struct {
 	bounds  []int
 }
 
-// NewSchedule resolves options against a plan: worker count, block
-// width, chunk partitions, closure table and scratch sizing. It performs
+// NewSchedule resolves options against a plan: worker count, chunk
+// partitions, closure table and scratch sizing. It performs
 // no per-element work besides the O(workers) partitions; the O(M) cycle
 // decompositions are deferred to first use.
 func NewSchedule(plan *cr.Plan, o Opts) *Schedule {
 	s := &Schedule{
 		Plan:    plan,
 		Opts:    o,
-		blockW:  o.blockW(),
 		workers: parallel.Workers(o.Workers),
 		pool:    o.Pool,
 	}
 	m, n := plan.M, plan.N
 	s.boundsM = parallel.Bounds(m, s.workers, 1)
 	s.boundsN = parallel.Bounds(n, s.workers, 1)
-	groups := (n + s.blockW - 1) / s.blockW
-	s.boundsGroups = parallel.Bounds(groups, s.workers, 1)
-	s.oneGroup = []int{0, 1}
 
 	s.skinnyOK = skinnyViable(plan)
 	if s.skinnyOK {
@@ -90,7 +86,6 @@ func NewSchedule(plan *cr.Plan, o Opts) *Schedule {
 
 	s.rotFn = plan.Rot
 	s.negRotFn = func(j int) int { return -plan.Rot(j) }
-	s.idFn = identityAmount
 	s.negIDFn = negIdentityAmount
 	s.qFn = plan.Q
 	s.qInvFn = plan.QInv

@@ -12,7 +12,7 @@
 // scaled to this candidate space: stage 1 races every (direction,
 // pipeline) pair at the full worker budget, stage 2 sweeps the worker
 // ladder for the winning pipeline, and stage 3 sweeps the cache-aware
-// sub-row width when the winner uses one. Each candidate is measured as
+// tile width when the winner uses one. Each candidate is measured as
 // the median of several samples, each sample batched to a minimum wall
 // time, so scheduler noise and one-off cache effects do not promote a
 // loser.
@@ -36,7 +36,7 @@ type Candidate struct {
 	C2R     bool         // pipeline direction
 	Variant core.Variant // pass structure
 	Workers int          // goroutines
-	BlockW  int          // cache-aware sub-row width, 0 = engine default
+	BlockW  int          // cache-aware tile width, 0 = derived
 }
 
 func (c Candidate) String() string {
@@ -64,8 +64,8 @@ type Config struct {
 	// remaining reps are dropped (the median is taken over what was
 	// collected). 0 means 80ms.
 	MaxCandidate time.Duration
-	// BlockWidths is the stage-3 sweep for cache-aware winners; 0 entries
-	// mean the engine default. nil means {0, 16, 32}.
+	// BlockWidths is the stage-3 sweep of tile widths for cache-aware
+	// winners; 0 entries mean the derived width. nil means {0, 16, 32}.
 	BlockWidths []int
 	// Cost, when non-nil, replaces wall-clock measurement with a
 	// deterministic ns/op estimate. Tests use it to force decisions (for
@@ -106,7 +106,7 @@ func Smoke() Config {
 // HeuristicCandidate returns the choice the static planner heuristic
 // would make for the shape under the given budget: the cache-aware
 // pipeline in the direction with the shorter internal columns, all
-// workers, default sub-row width. The tuner seeds its search with it so
+// workers, derived tile width. The tuner seeds its search with it so
 // a tuned process can never regress below the heuristic by more than
 // measurement noise — if nothing beats it, it wins.
 func HeuristicCandidate(rows, cols, maxWorkers int) Candidate {
@@ -187,9 +187,9 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		}
 	}
 
-	// Stage 3: cache-aware sub-row width. Only the cache-aware pipeline
+	// Stage 3: cache-aware tile width. Only the cache-aware pipeline
 	// consumes it (the skinny permute spans whole rows, scatter/gather
-	// use no sub-row tiling).
+	// use no tiling).
 	if best.Variant == core.CacheAware {
 		for _, bw := range cfg.BlockWidths {
 			cand := best

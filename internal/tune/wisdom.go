@@ -64,13 +64,13 @@ func (k Key) validate() error {
 
 // Decision is a measured-optimal execution strategy for one Key: which
 // pass structure to run, in which direction, with how many workers and
-// what sub-row width. GBps records the winning measurement for
+// what tile width. GBps records the winning measurement for
 // provenance and for staleness checks by consumers.
 type Decision struct {
 	Variant string  `json:"variant"`           // core.Variant.String() name
 	C2R     bool    `json:"c2r"`               // true: C2R pipeline, false: R2C
 	Workers int     `json:"workers"`           // measured-best worker count
-	BlockW  int     `json:"block_w,omitempty"` // cache-aware sub-row width, 0 = engine default
+	BlockW  int     `json:"block_w,omitempty"` // cache-aware tile width, 0 = derived
 	GBps    float64 `json:"gbps,omitempty"`    // throughput of the winning candidate
 }
 

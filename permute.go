@@ -120,7 +120,7 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 		// caller's bound is not a candidate (the reversal-method regime).
 		fits := func(steps []tensor.Step) bool {
 			return o.MaxScratchBytes <= 0 || elemSize <= 0 ||
-				tensor.ScratchFloor(steps, elemSize) <= o.MaxScratchBytes
+				tensor.ScratchFloor(steps, elemSize, parallel.Workers(o.Workers), o.BlockWidth) <= o.MaxScratchBytes
 		}
 		gFit, iFit := fits(greedy), fits(inverse)
 		switch {

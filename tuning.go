@@ -123,7 +123,7 @@ func (r TuneResult) String() string {
 // Tune measures the real candidate space for transposing row-major
 // rows×cols arrays of T — pass pipeline (Algorithm1 scatter, gather,
 // cache-aware) vs. the skinny banded specialization, C2R vs. R2C
-// direction, worker counts up to the budget, cache-aware sub-row widths
+// direction, worker counts up to the budget, cache-aware tile widths
 // — with short repeatable runs and outlier-robust statistics, records
 // the winner in the process wisdom table, and returns it. Subsequent
 // planners for the shape (with Options.Tuning at WisdomAuto) use the
