@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"inplace"
+	"inplace/internal/core"
 	"inplace/internal/tune"
 )
 
@@ -188,5 +189,55 @@ func TestLoadWisdomCorruptAndVersionSkew(t *testing.T) {
 	}
 	if inplace.WisdomLen() != 0 {
 		t.Errorf("unknown-version wisdom merged %d entries, want 0", inplace.WisdomLen())
+	}
+}
+
+// ScratchBytes prices the plan as the planner resolves it: wisdom that
+// flips the direction and sets a tile width changes the figure, and
+// explicit options still win over it.
+func TestScratchBytesFollowsWisdom(t *testing.T) {
+	defer inplace.ClearWisdom()
+	inplace.ClearWisdom()
+	const rows, cols, elem = 256, 4096, 4
+	o := inplace.Options{Workers: 2}
+	heur, err := inplace.ScratchBytes(rows, cols, elem, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The heuristic runs C2R: the shorter side is the plan's m.
+	if want := core.ScratchBytes(rows, cols, elem, 2, core.TileWidth(rows, cols, elem, 0)); heur != want {
+		t.Fatalf("heuristic ScratchBytes = %d, want %d", heur, want)
+	}
+
+	tbl := tune.NewTable()
+	tbl.Store(tune.Key{Rows: rows, Cols: cols, ElemSize: elem, MaxWorkers: 2},
+		tune.Decision{Variant: "cache-aware", C2R: false, Workers: 2, BlockW: 32})
+	path := filepath.Join(t.TempDir(), "wisdom.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inplace.LoadWisdom(path); err != nil {
+		t.Fatal(err)
+	}
+	tuned, err := inplace.ScratchBytes(rows, cols, elem, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := core.ScratchBytes(cols, rows, elem, 2, 32); tuned != want || tuned <= heur {
+		t.Fatalf("tuned ScratchBytes = %d, want %d (above the heuristic %d)", tuned, want, heur)
+	}
+	off, err := inplace.ScratchBytes(rows, cols, elem, inplace.Options{Workers: 2, Tuning: inplace.WisdomOff})
+	if err != nil || off != heur {
+		t.Fatalf("WisdomOff ScratchBytes = %d, %v; want %d", off, err, heur)
+	}
+	if _, err := inplace.ScratchBytes(rows, cols, 0, o); !errors.Is(err, inplace.ErrElemSize) {
+		t.Fatalf("element size 0: err = %v, want ErrElemSize", err)
 	}
 }
