@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test race fuzz bench bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
+.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
 
 # ci is the full gate: static checks (vet plus the xposelint suite,
 # with its golden tests re-run under the race detector and a wall-clock
-# budget on the full-repo lint), build, tests, the race detector (short
-# mode keeps the race shapes small), a capped autotuner run, an
-# out-of-core round trip on a real temp file, the daemon selftest, the
-# benchmark regression gate against the committed baseline, and a
-# best-effort vulnerability scan.
-ci: vet lint lint-race lint-bench build test race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-gate vuln
+# budget on the full-repo lint), build, tests (also at GOMAXPROCS 1, 2
+# and 4), the race detector (short mode keeps the race shapes small), a
+# capped autotuner run, an out-of-core round trip on a real temp file,
+# the daemon selftest, the benchmark regression gate against the
+# committed baseline, and a best-effort vulnerability scan.
+ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-gate vuln
 
 vet:
 	$(GO) vet ./...
@@ -70,6 +70,16 @@ build:
 test:
 	$(GO) test ./...
 
+# test-procs runs the suite at GOMAXPROCS 1, 2 and 4, so no test can
+# assume the core count of the host it was written on. -count=1 is
+# required: the test cache ignores GOMAXPROCS and would replay the
+# first run's results for the others.
+test-procs:
+	@for p in 1 2 4; do \
+		echo "test-procs: GOMAXPROCS=$$p"; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./... || exit 1; \
+	done
+
 race:
 	$(GO) test -race -short ./...
 
@@ -111,11 +121,12 @@ bench-baseline:
 	$(GO) run ./cmd/benchorch run -preset quick -seed 2014 -run '$(BENCH_GATE_RUN)' -q -json results/bench-baseline.json
 
 # tune-smoke exercises the whole autotuner pipeline end to end on tiny
-# shapes with capped measurement budgets: batch-tune, write a wisdom
-# file, and read it back. Seconds, not minutes — cheap enough for ci.
+# shapes with capped measurement budgets: batch-tune 2D shapes and one
+# axis permutation, write a wisdom file, and read it back. Seconds, not
+# minutes — cheap enough for ci.
 tune-smoke:
 	mkdir -p results
-	$(GO) run ./cmd/xposetune -shapes 64x48,512x6,32x96 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
+	$(GO) run ./cmd/xposetune -shapes 64x48,512x6,32x96 -perms 2x8x8x4:0,3,1,2 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
 	$(GO) run ./cmd/xposetune -list results/wisdom-smoke.json
 
 # ooc-smoke round-trips the out-of-core engine on a real temp file,

@@ -17,6 +17,10 @@
 // under the permutation's canonical form (see the perm section of the
 // wisdom file). -shapes and -perms may be combined in one run.
 //
+// -list prints every entry of a wisdom file, whatever tuner wrote it:
+// 2D transposes, permutations, out-of-core schedules (TuneOOC) and
+// tile-store chunk heights (TuneStore), one line each.
+//
 // -merge folds the new measurements over an existing wisdom file
 // instead of replacing it; unknown-version files merge as empty. -fast
 // caps measurement for smoke runs (noisy decisions, full code path).
@@ -91,7 +95,7 @@ func main() {
 	if err := inplace.SaveWisdom(*out); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %d decisions to %s\n", inplace.WisdomLen()+inplace.PermWisdomLen(), *out)
+	fmt.Printf("wrote %d decisions to %s\n", inplace.WisdomLen(), *out)
 }
 
 // parsePermSpec parses one "dims:perm" entry, e.g. "2x8x8x4:0,3,1,2".
@@ -142,22 +146,28 @@ func listWisdom(path string) {
 	if err != nil {
 		fatal(err)
 	}
-	if t.Len() == 0 && t.PermLen() == 0 {
+	if t.Len() == 0 {
 		fmt.Printf("%s: no usable entries (empty or unknown version)\n", path)
 		return
 	}
 	for _, k := range t.Keys() {
 		d, _ := t.Lookup(k)
-		dir := "R2C"
-		if d.C2R {
-			dir = "C2R"
+		var how string
+		switch k.Kind {
+		case tune.KindTranspose:
+			dir := "R2C"
+			if d.C2R {
+				dir = "C2R"
+			}
+			how = fmt.Sprintf("%s %s workers=%d blockw=%d", d.Variant, dir, d.Workers, d.BlockW)
+		case tune.KindPermute:
+			how = fmt.Sprintf("%s workers=%d", d.Variant, d.Workers)
+		case tune.KindOOC:
+			how = fmt.Sprintf("seg=%d depth=%d workers=%d", d.Chunk, d.Depth, d.Workers)
+		case tune.KindStore:
+			how = fmt.Sprintf("chunk_rows=%d workers=%d", d.Chunk, d.Workers)
 		}
-		fmt.Printf("%-24s %s %s workers=%d blockw=%d %.2f GB/s\n",
-			k, d.Variant, dir, d.Workers, d.BlockW, d.GBps)
-	}
-	for _, k := range t.PermKeys() {
-		d, _ := t.LookupPerm(k)
-		fmt.Printf("%-24s %s workers=%d %.2f GB/s\n", k, d.Strategy, d.Workers, d.GBps)
+		fmt.Printf("%-9s %-24s %s %.2f GB/s\n", k.Kind, k, how, d.GBps)
 	}
 }
 

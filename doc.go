@@ -95,13 +95,20 @@
 //
 // Wisdom is consulted whenever a typed planner resolves a shape whose
 // Options leave the corresponding fields at their zero values: an
-// explicit Method, Direction, Workers or BlockWidth always wins over
-// wisdom, Options.Tuning == WisdomOff ignores the table entirely, and
-// WisdomRequired fails with ErrNoWisdom instead of falling back to the
-// heuristic. Entries are keyed by (rows, cols, element size, resolved
-// worker budget), so float64 and uint64 share wisdom but float32 does
-// not, and a decision tuned for one worker budget never leaks into
-// another.
+// explicit Method, Direction, Workers, BlockWidth or MaxScratchBytes
+// always wins over wisdom, Options.Tuning == WisdomOff ignores the table
+// entirely, and WisdomRequired fails with ErrNoWisdom instead of falling
+// back to the heuristic.
+//
+// The table holds every tuner's decisions — Tune, TunePermute, TuneOOC
+// and TuneStore — keyed by (kind, canonical shape, element size,
+// budget). The budget is the resolved worker budget for 2D transposes
+// and permutations and the binary magnitude of the memory budget for
+// out-of-core runs; tile-store decisions have none. A decision is
+// consulted only under the budget it was tuned with: Tune with
+// TuneConfig{Workers: 1} serves planners with Options{Workers: 1}, not
+// a default planner on a multi-core host. float64 and uint64 share
+// wisdom; float32 does not.
 //
 // SaveWisdom and LoadWisdom persist the table as versioned JSON.
 // Loading merges (incoming entries win), rejects corrupt files with an
@@ -137,8 +144,7 @@
 // NewPermutePlanner amortizes planning the same way NewPlanner does.
 // TunePermute measures strategy and worker candidates and stores the
 // winner in the wisdom table under the canonical form, so raw shapes
-// that collapse to the same form share the entry; the wisdom file's
-// optional "perm" section persists it and older files load unchanged.
+// that collapse to the same form share the entry.
 //
 // # Out-of-core transposition
 //

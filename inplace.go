@@ -7,6 +7,7 @@ import (
 	"inplace/internal/core"
 	"inplace/internal/cr"
 	"inplace/internal/mathutil"
+	"inplace/internal/tune"
 )
 
 // Method selects the engine used to realize the transposition. All
@@ -218,8 +219,8 @@ var ErrUnknownMethod = errors.New("inplace: unknown method")
 // (TuneElem, NewPlanElem) cannot handle: only 1, 2, 4 and 8 are wired.
 var ErrElemSize = errors.New("inplace: unsupported element size")
 
-// ErrNoTuneResult reports a tuning run that measured no candidates at
-// all, typically an out-of-core budget below every schedule floor.
+// ErrNoTuneResult reports a tuning run with nothing to measure: an
+// identity permutation passed to TunePermute.
 var ErrNoTuneResult = errors.New("inplace: tuning measured no candidates")
 
 // NewPlan validates the shape and resolves the engine for transposing a
@@ -248,11 +249,14 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 		rows, cols = cols, rows
 		o.Order = RowMajor
 	}
-	if elemSize > 0 && o.Tuning != WisdomOff {
-		if d, ok := lookupWisdom(rows, cols, elemSize, o.Workers); ok {
+	if elemSize > 0 {
+		k := wisdomKey(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: elemSize}, int64(o.Workers))
+		d, ok, err := lookupWisdom(o.Tuning, k)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			o = applyWisdom(o, d)
-		} else if o.Tuning == WisdomRequired {
-			return nil, fmt.Errorf("%w (%dx%d, %d-byte elements)", ErrNoWisdom, rows, cols, elemSize)
 		}
 	}
 	p := &Plan{rows: rows, cols: cols, size: size}

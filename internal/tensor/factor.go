@@ -143,7 +143,8 @@ func ScratchFloor(steps []Step, elemSize, workers, blockW int) int {
 }
 
 // Strategy names for the permutation planner, shared with the wisdom
-// table (tune.PermDecision.Strategy) and the tuner's candidate set.
+// table (the Variant of a permutation's tune.Decision) and the tuner's
+// candidate set.
 const (
 	// StrategyGreedy is the front-to-back suffix-rotation factorization.
 	StrategyGreedy = "greedy"

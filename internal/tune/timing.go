@@ -1,6 +1,10 @@
 package tune
 
-import "time"
+import (
+	"time"
+
+	"inplace/internal/stats"
+)
 
 // The tuner's robust wall-clock measurement loop, exported so other
 // harnesses (cmd/benchorch's orchestrator runs in particular) measure
@@ -67,3 +71,71 @@ func TimeRuns(run func(), iters int) time.Duration {
 	}
 	return time.Since(start)
 }
+
+// Search is the measurement loop every tuner runs over its candidates
+// C. Try builds a candidate's run once, warms it with one call, times
+// it with Measure and costs it by the median sample. Costs are
+// memoized, so a staged search that revisits a point never measures it
+// twice. The cheapest candidate wins; ties keep the one tried first, so
+// a tuner that tries the static heuristic first never records a choice
+// that did not measure better than it.
+type Search[C comparable] struct {
+	Opts MeasureOpts
+	// Run builds the run of one candidate. Runs must be repeatable on the
+	// same buffers: they are timed back to back.
+	Run func(C) (func() error, error)
+	// Cost, when non-nil, replaces measurement with a deterministic
+	// estimate in ns per run. Tests use it to force decisions (for
+	// example, a shape where measurement and heuristic disagree) without
+	// depending on host timing.
+	Cost func(C) float64
+
+	costs  map[C]float64
+	best   C
+	bestNs float64
+	err    error
+}
+
+// Try measures c, unless it was measured before or an earlier
+// candidate failed.
+func (s *Search[C]) Try(c C) {
+	if _, ok := s.costs[c]; ok || s.err != nil {
+		return
+	}
+	ns, err := s.cost(c)
+	if err != nil {
+		s.err = err
+		return
+	}
+	if s.costs == nil {
+		s.costs = make(map[C]float64)
+	}
+	s.costs[c] = ns
+	if len(s.costs) == 1 || ns < s.bestNs {
+		s.best, s.bestNs = c, ns
+	}
+}
+
+func (s *Search[C]) cost(c C) (float64, error) {
+	if s.Cost != nil {
+		return s.Cost(c), nil
+	}
+	run, err := s.Run(c)
+	if err == nil {
+		err = run() // warm scratch arenas and lazy plan state
+	}
+	if err != nil {
+		return 0, err
+	}
+	samples := Measure(func() {
+		if err == nil {
+			err = run()
+		}
+	}, s.Opts)
+	return stats.Median(samples), err
+}
+
+// Best returns the cheapest candidate so far with its cost in ns per
+// run (0 before any candidate was measured), or the first error any
+// candidate returned.
+func (s *Search[C]) Best() (C, float64, error) { return s.best, s.bestNs, s.err }

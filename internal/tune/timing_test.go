@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -58,5 +59,49 @@ func TestMeasureCalibratesBatches(t *testing.T) {
 		if s > float64(100*time.Microsecond) {
 			t.Fatalf("per-call sample %vns way above a trivial call; batching broken", s)
 		}
+	}
+}
+
+// Search builds and measures each candidate once however often it is
+// tried, keeps the cheapest by median (the first on ties), and stops at
+// the first failing candidate.
+func TestSearch(t *testing.T) {
+	built := map[int]int{}
+	s := Search[int]{
+		Opts: MeasureOpts{Reps: 3, MinSample: time.Microsecond, MaxTotal: time.Second},
+		Run: func(c int) (func() error, error) {
+			built[c]++
+			return func() error { time.Sleep(time.Duration(c) * time.Millisecond); return nil }, nil
+		},
+	}
+	for _, c := range []int{5, 1, 3, 1, 5} {
+		s.Try(c)
+	}
+	best, ns, err := s.Best()
+	if err != nil || best != 1 || ns < float64(time.Millisecond) {
+		t.Fatalf("Best() = %d, %vns, %v; want candidate 1 at >= 1ms", best, ns, err)
+	}
+	for c, n := range built {
+		if n != 1 {
+			t.Errorf("candidate %d built %d times, want once", c, n)
+		}
+	}
+
+	boom := errors.New("boom")
+	s.Run = func(c int) (func() error, error) {
+		built[c]++
+		return func() error { return boom }, nil
+	}
+	s.Try(2)
+	s.Try(0)
+	if _, _, err := s.Best(); !errors.Is(err, boom) || built[0] != 0 {
+		t.Fatalf("a failing candidate must stop the search: err = %v", err)
+	}
+
+	tie := Search[int]{Cost: func(int) float64 { return 1 }}
+	tie.Try(7)
+	tie.Try(8)
+	if best, _, _ := tie.Best(); best != 7 {
+		t.Fatalf("tie kept candidate %d, want the first tried (7)", best)
 	}
 }

@@ -1,21 +1,25 @@
 // Package tune is the calibrating autotuner of the transposition
-// library: for one shape / element size / worker budget it times the
-// real candidate space — pass pipeline (scatter, gather, cache-aware)
-// vs. the skinny banded specialization, C2R vs. R2C direction, worker
-// counts and cache-aware sub-row granularities — on short repeatable
-// measurement runs with outlier-robust statistics, and records the
-// winner in a versioned wisdom table (wisdom.go) that the public
-// Planner consults before falling back to the paper's static
-// heuristics.
+// library. It holds the two pieces every tuner shares:
 //
-// The search is staged rather than exhaustive, the FFTW-wisdom pattern
-// scaled to this candidate space: stage 1 races every (direction,
-// pipeline) pair at the full worker budget, stage 2 sweeps the worker
-// ladder for the winning pipeline, and stage 3 sweeps the cache-aware
-// tile width when the winner uses one. Each candidate is measured as
-// the median of several samples, each sample batched to a minimum wall
-// time, so scheduler noise and one-off cache effects do not promote a
-// loser.
+//   - the wisdom table (wisdom.go): one map from a Key — problem kind
+//     (2D transpose, out-of-core, axis permutation, tile-store ingest),
+//     canonical shape, element size and budget — to a small Decision,
+//     with one versioned JSON Save/Load. Planners consult a decision
+//     only under the budget it was tuned with, before falling back to
+//     the paper's static heuristics;
+//   - the measurement loop (timing.go): Search warms each candidate
+//     once, times it with Measure — the median of several samples, each
+//     batched to a minimum wall time, so scheduler noise and one-off
+//     cache effects do not promote a loser — and keeps the cheapest.
+//
+// TuneFor is the 2D tuner. Its search is staged rather than exhaustive,
+// the FFTW-wisdom pattern scaled to this candidate space: stage 1 races
+// every (direction, pipeline) pair — scatter, gather, cache-aware and
+// the skinny banded specialization, C2R and R2C — at the full worker
+// budget, stage 2 sweeps the worker ladder for the winning pipeline,
+// and stage 3 sweeps the cache-aware tile width when the winner uses
+// one. The permutation, out-of-core and tile-store tuners live in the
+// public package and run the same Search.
 package tune
 
 import (
@@ -28,7 +32,6 @@ import (
 	"inplace/internal/cr"
 	"inplace/internal/mathutil"
 	"inplace/internal/parallel"
-	"inplace/internal/stats"
 )
 
 // Candidate is one point of the search space.
@@ -53,41 +56,14 @@ type Config struct {
 	// MaxWorkers is the worker budget; 0 means GOMAXPROCS. The budget is
 	// part of the wisdom key.
 	MaxWorkers int
-	// Reps is the number of timed samples per candidate (median taken);
-	// 0 means 5.
-	Reps int
-	// MinSample is the minimum wall time of one sample: runs are batched
-	// until a sample takes at least this long, so timer granularity and
-	// per-call jitter amortize away. 0 means 1ms.
-	MinSample time.Duration
-	// MaxCandidate caps the total measurement time of one candidate;
-	// remaining reps are dropped (the median is taken over what was
-	// collected). 0 means 80ms.
-	MaxCandidate time.Duration
+	// MeasureOpts times each candidate: the median of Reps samples, each
+	// batched to MinSample, within MaxTotal per candidate.
+	MeasureOpts
 	// BlockWidths is the stage-3 sweep of tile widths for cache-aware
 	// winners; 0 entries mean the derived width. nil means {0, 16, 32}.
 	BlockWidths []int
-	// Cost, when non-nil, replaces wall-clock measurement with a
-	// deterministic ns/op estimate. Tests use it to force decisions (for
-	// example, a shape where measurement and heuristic disagree) without
-	// depending on host timing.
+	// Cost, when non-nil, replaces wall-clock measurement (Search.Cost).
 	Cost func(Candidate) float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Reps <= 0 {
-		c.Reps = 5
-	}
-	if c.MinSample <= 0 {
-		c.MinSample = time.Millisecond
-	}
-	if c.MaxCandidate <= 0 {
-		c.MaxCandidate = 80 * time.Millisecond
-	}
-	if c.BlockWidths == nil {
-		c.BlockWidths = []int{0, 16, 32}
-	}
-	return c
 }
 
 // Smoke returns a configuration with every knob capped for fast CI
@@ -96,10 +72,8 @@ func (c Config) withDefaults() Config {
 // point is exercising the full tuner code path cheaply.
 func Smoke() Config {
 	return Config{
-		Reps:         1,
-		MinSample:    50 * time.Microsecond,
-		MaxCandidate: 2 * time.Millisecond,
-		BlockWidths:  []int{0},
+		MeasureOpts: MeasureOpts{Reps: 1, MinSample: 50 * time.Microsecond, MaxTotal: 2 * time.Millisecond},
+		BlockWidths: []int{0},
 	}
 }
 
@@ -135,140 +109,74 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 	if !ok {
 		return Decision{}, fmt.Errorf("%w (got %dx%d)", ErrOverflow, rows, cols)
 	}
-	cfg = cfg.withDefaults()
 	budget := parallel.Workers(cfg.MaxWorkers)
-
-	m := &measurer[T]{
-		rows: rows,
-		cols: cols,
-		cfg:  cfg,
-		// The two directions transpose through mutually-inverse plans of
-		// swapped shapes; both are built once and shared by every
-		// candidate.
-		planC2R: cr.NewPlan(rows, cols),
-		planR2C: cr.NewPlan(cols, rows),
-		costs:   make(map[Candidate]float64),
+	blockWidths := cfg.BlockWidths
+	if blockWidths == nil {
+		blockWidths = []int{0, 16, 32}
 	}
+
+	// The two directions transpose through mutually-inverse plans of
+	// swapped shapes; both are built once and shared by every candidate.
+	plans := map[bool]*cr.Plan{true: cr.NewPlan(rows, cols), false: cr.NewPlan(cols, rows)}
+	var data []T
 	if cfg.Cost == nil {
-		m.data = make([]T, size)
+		data = make([]T, size)
 	}
+	s := Search[Candidate]{Opts: cfg.MeasureOpts, Cost: cfg.Cost, Run: func(c Candidate) (func() error, error) {
+		opts := core.Opts{Workers: c.Workers, Variant: c.Variant, BlockW: c.BlockW}
+		if parallel.Workers(c.Workers) > 1 {
+			opts.Pool = parallel.Shared()
+		}
+		eng := core.NewEngine[T](core.NewSchedule(plans[c.C2R], opts))
+		// The pipelines are data-independent permutations, so timing does
+		// not care that successive runs keep permuting the buffer.
+		if c.C2R {
+			return func() error { eng.C2R(data); return nil }, nil
+		}
+		return func() error { eng.R2C(data); return nil }, nil
+	}}
 
-	// Stage 1: direction × pipeline at full budget. The heuristic's own
-	// choice is always in this set.
-	best := HeuristicCandidate(rows, cols, budget)
-	bestCost := m.cost(best)
+	// Stage 1: direction × pipeline at full budget, seeded with the
+	// heuristic's own choice.
+	s.Try(HeuristicCandidate(rows, cols, budget))
 	for _, c2r := range []bool{true, false} {
-		plan := m.plan(c2r)
 		for _, v := range core.Variants() {
-			if v == core.Skinny && !core.SkinnyViable(plan) {
+			if v == core.Skinny && !core.SkinnyViable(plans[c2r]) {
 				continue // engine would silently run cache-aware: not distinct
 			}
-			cand := Candidate{C2R: c2r, Variant: v, Workers: budget}
-			if cost := m.cost(cand); cost < bestCost {
-				best, bestCost = cand, cost
-			}
+			s.Try(Candidate{C2R: c2r, Variant: v, Workers: budget})
 		}
 	}
 
 	// Stage 2: worker ladder for the winning pipeline — powers of two up
 	// to the budget, plus the budget itself.
+	best, _, _ := s.Best()
 	for w := 1; w <= budget; w *= 2 {
-		cand := best
-		cand.Workers = w
-		if cost := m.cost(cand); cost < bestCost {
-			best, bestCost = cand, cost
-		}
+		best.Workers = w
+		s.Try(best)
 	}
-	{
-		cand := best
-		cand.Workers = budget
-		if cost := m.cost(cand); cost < bestCost {
-			best, bestCost = cand, cost
-		}
-	}
+	best.Workers = budget
+	s.Try(best)
 
 	// Stage 3: cache-aware tile width. Only the cache-aware pipeline
 	// consumes it (the skinny permute spans whole rows, scatter/gather
 	// use no tiling).
-	if best.Variant == core.CacheAware {
-		for _, bw := range cfg.BlockWidths {
-			cand := best
-			cand.BlockW = bw
-			if cost := m.cost(cand); cost < bestCost {
-				best, bestCost = cand, cost
-			}
+	if best, _, _ = s.Best(); best.Variant == core.CacheAware {
+		for _, bw := range blockWidths {
+			best.BlockW = bw
+			s.Try(best)
 		}
 	}
 
-	var elem T
-	d := Decision{
-		Variant: best.Variant.String(),
-		C2R:     best.C2R,
-		Workers: best.Workers,
-		BlockW:  best.BlockW,
+	best, ns, err := s.Best()
+	if err != nil {
+		return Decision{}, err
 	}
-	if bestCost > 0 {
+	d := Decision{Variant: best.Variant.String(), C2R: best.C2R, Workers: best.Workers, BlockW: best.BlockW}
+	if ns > 0 {
+		var elem T
 		bytes := 2 * float64(rows) * float64(cols) * float64(unsafe.Sizeof(elem))
-		d.GBps = bytes / bestCost // ns/op and GB/s share the 1e9 factor
+		d.GBps = bytes / ns // ns/op and GB/s share the 1e9 factor
 	}
 	return d, nil
-}
-
-// measurer times candidates for one shape, memoizing by candidate so
-// the staged search never measures the same point twice.
-type measurer[T any] struct {
-	rows, cols int
-	cfg        Config
-	data       []T
-	planC2R    *cr.Plan
-	planR2C    *cr.Plan
-	costs      map[Candidate]float64
-}
-
-func (m *measurer[T]) plan(c2r bool) *cr.Plan {
-	if c2r {
-		return m.planC2R
-	}
-	return m.planR2C
-}
-
-// cost returns the candidate's cost in ns per transposition (median of
-// the configured samples), or the injected estimate.
-func (m *measurer[T]) cost(c Candidate) float64 {
-	if v, ok := m.costs[c]; ok {
-		return v
-	}
-	var v float64
-	if m.cfg.Cost != nil {
-		v = m.cfg.Cost(c)
-	} else {
-		v = m.measure(c)
-	}
-	m.costs[c] = v
-	return v
-}
-
-func (m *measurer[T]) measure(c Candidate) float64 {
-	opts := core.Opts{Workers: c.Workers, Variant: c.Variant, BlockW: c.BlockW}
-	if parallel.Workers(c.Workers) > 1 {
-		opts.Pool = parallel.Shared()
-	}
-	eng := core.NewEngine[T](core.NewSchedule(m.plan(c.C2R), opts))
-	run := func() {
-		// The pipelines are data-independent permutations, so timing does
-		// not care that successive runs keep permuting the buffer.
-		if c.C2R {
-			eng.C2R(m.data)
-		} else {
-			eng.R2C(m.data)
-		}
-	}
-	run() // warm the scratch arena and the lazy cycle decomposition
-
-	samples := Measure(run, MeasureOpts{
-		Reps:      m.cfg.Reps,
-		MinSample: m.cfg.MinSample,
-		MaxTotal:  m.cfg.MaxCandidate,
-	})
-	return stats.Median(samples)
 }

@@ -112,7 +112,7 @@ func TestTuneForRealMeasurementSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.validate(); err != nil {
+	if err := validate(Key{Kind: KindTranspose, Rows: 96, Cols: 64, ElemSize: 8, Budget: 1}, d); err != nil {
 		t.Fatalf("smoke decision invalid: %v (%+v)", err, d)
 	}
 	if d.GBps <= 0 {

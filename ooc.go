@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"inplace/internal/mathutil"
 	"inplace/internal/ooc"
@@ -124,19 +123,20 @@ func oocConfig(rows, cols, elemSize int, o OOCOptions) (ooc.Config, error) {
 	if o.Budget <= 0 {
 		o.Budget = DefaultOOCBudget
 	}
-	if o.Tuning != WisdomOff {
-		if d, ok := lookupOOCWisdom(rows, cols, elemSize, o.Budget); ok {
-			if o.SegmentBytes == 0 {
-				o.SegmentBytes = d.SegmentBytes
-			}
-			if o.Depth == 0 {
-				o.Depth = d.Depth
-			}
-			if o.Workers == 0 {
-				o.Workers = d.Workers
-			}
-		} else if o.Tuning == WisdomRequired {
-			return ooc.Config{}, fmt.Errorf("%w (%dx%d, %d-byte elements, out-of-core)", ErrNoWisdom, rows, cols, elemSize)
+	k := wisdomKey(tune.Key{Kind: tune.KindOOC, Rows: rows, Cols: cols, ElemSize: elemSize}, o.Budget)
+	d, ok, err := lookupWisdom(o.Tuning, k)
+	if err != nil {
+		return ooc.Config{}, err
+	}
+	if ok {
+		if o.SegmentBytes == 0 {
+			o.SegmentBytes = d.Chunk
+		}
+		if o.Depth == 0 {
+			o.Depth = d.Depth
+		}
+		if o.Workers == 0 {
+			o.Workers = d.Workers
 		}
 	}
 	dir := ooc.DirAuto
@@ -228,21 +228,6 @@ func OOCMinBudget(rows, cols, elemSize int) (int64, error) {
 	return floor, nil
 }
 
-// lookupOOCWisdom returns the recorded out-of-core decision for a shape
-// and budget class.
-func lookupOOCWisdom(rows, cols, elemSize int, budget int64) (tune.OOCDecision, bool) {
-	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(budget)}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupOOC(k)
-}
-
-func storeOOCWisdom(k tune.OOCKey, d tune.OOCDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StoreOOC(k, d)
-	wisdomTab.mu.Unlock()
-}
-
 // OOCTuneResult reports the winning out-of-core schedule of a TuneOOC
 // call.
 type OOCTuneResult struct {
@@ -262,22 +247,18 @@ func (r OOCTuneResult) String() string {
 		r.Rows, r.Cols, r.ElemSize, r.Budget, r.SegmentBytes, r.Depth, r.Workers, r.GBps)
 }
 
-// TuneOOC measures out-of-core schedule candidates — pipeline depths,
-// segment sizes and worker counts under the given budget — by
-// transposing a scratch temp file of the real shape, records the winner
-// in the process wisdom table under the budget's binary magnitude class,
-// and returns it. Subsequent TransposeFile/NewOOCPlanner calls for the
-// shape and budget class (with OOCOptions.Tuning at WisdomAuto) use the
-// measured decision; SaveWisdom persists it alongside the in-memory
-// decisions.
+// TuneOOC measures out-of-core schedule candidates — pipeline depths
+// and worker counts under the given budget — by transposing a scratch
+// temp file of the real shape, records the winner in the process wisdom
+// table under the budget's binary magnitude class, and returns it.
+// Subsequent TransposeFile/NewOOCPlanner calls for the shape and budget
+// class (with OOCOptions.Tuning at WisdomAuto) use the measured
+// schedule; SaveWisdom persists it alongside the in-memory decisions.
 //
 // The call creates (and removes) a temp file of rows*cols*elemSize
-// bytes; expect it to take several full passes over that file.
+// bytes; expect each candidate to take several full passes over it.
 func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTuneResult, error) {
-	var c TuneConfig
-	if len(cfgs) > 0 {
-		c = cfgs[0]
-	}
+	cfg := tuneConfig(cfgs)
 	size, err := checkShape(rows, cols)
 	if err != nil {
 		return OOCTuneResult{}, err
@@ -303,63 +284,37 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 		return OOCTuneResult{}, err
 	}
 
-	maxWorkers := parallel.Workers(c.Workers)
-	workerCands := []int{1}
-	if maxWorkers > 1 {
-		workerCands = append(workerCands, maxWorkers)
-	}
-	if mid := maxWorkers / 2; mid > 1 && mid != maxWorkers {
-		workerCands = append(workerCands, mid)
-	}
-	reps := 1
-	if c.Reps > 0 {
-		reps = c.Reps
-	}
-
-	best := OOCTuneResult{Rows: rows, Cols: cols, ElemSize: elemSize, Budget: budget}
-	for _, depth := range []int{1, 2, 3} {
-		for _, workers := range workerCands {
-			cfg := ooc.Config{
-				Rows: rows, Cols: cols, ElemSize: elemSize,
-				Budget: budget, Depth: depth, Workers: workers,
+	last := make(map[tune.Decision]ooc.Stats) // each candidate's I/O volume
+	s := tune.Search[tune.Decision]{Opts: cfg.MeasureOpts, Run: func(d tune.Decision) (func() error, error) {
+		oc := ooc.Config{Rows: rows, Cols: cols, ElemSize: elemSize, Budget: budget, Depth: d.Depth, Workers: d.Workers}
+		return func() (err error) {
+			if last[d], err = ooc.Run(f, oc); err != nil {
+				return fmt.Errorf("inplace: ooc tuning candidate depth=%d workers=%d: %w", d.Depth, d.Workers, err)
 			}
-			var bestRun float64
-			var segBytes int64
-			for rep := 0; rep < reps; rep++ {
-				start := time.Now()
-				st, err := ooc.Run(f, cfg)
-				if err != nil {
-					return OOCTuneResult{}, fmt.Errorf("inplace: ooc tuning candidate depth=%d workers=%d: %w", depth, workers, err)
-				}
-				el := time.Since(start).Seconds()
-				if el <= 0 {
-					el = 1e-9
-				}
-				gbps := float64(st.BytesRead+st.BytesWritten) / el / 1e9
-				if gbps > bestRun {
-					bestRun = gbps
-				}
-				if st.SegmentsTransformed > 0 && st.Passes > 0 {
-					segBytes = int64(st.BytesRead / (st.SegmentsTransformed))
-				}
-			}
-			if bestRun > best.GBps {
-				best.GBps = bestRun
-				best.Depth = depth
-				best.Workers = workers
-				best.SegmentBytes = segBytes
+			return nil
+		}, nil
+	}}
+	maxWorkers := parallel.Workers(cfg.MaxWorkers)
+	for depth := 1; depth <= 3; depth++ {
+		for _, workers := range []int{1, maxWorkers, maxWorkers / 2} {
+			if workers >= 1 {
+				s.Try(tune.Decision{Depth: depth, Workers: workers})
 			}
 		}
 	}
-	if best.Depth == 0 {
-		return OOCTuneResult{}, fmt.Errorf("%w for %dx%d (ooc)", ErrNoTuneResult, rows, cols)
+	best, ns, err := s.Best()
+	if err != nil {
+		return OOCTuneResult{}, err
 	}
-	if best.SegmentBytes <= 0 {
-		best.SegmentBytes = budget / int64(2*best.Depth)
+	st := last[best]
+	best.Chunk = budget / int64(2*best.Depth)
+	if st.SegmentsTransformed > 0 {
+		best.Chunk = int64(st.BytesRead / st.SegmentsTransformed)
 	}
-	k := tune.OOCKey{Rows: rows, Cols: cols, ElemSize: elemSize, BudgetLog2: tune.BudgetLog2(budget)}
-	storeOOCWisdom(k, tune.OOCDecision{
-		SegmentBytes: best.SegmentBytes, Depth: best.Depth, Workers: best.Workers, GBps: best.GBps,
-	})
-	return best, nil
+	best.GBps = float64(st.BytesRead+st.BytesWritten) / ns
+	storeWisdom(wisdomKey(tune.Key{Kind: tune.KindOOC, Rows: rows, Cols: cols, ElemSize: elemSize}, budget), best)
+	return OOCTuneResult{
+		Rows: rows, Cols: cols, ElemSize: elemSize, Budget: budget,
+		SegmentBytes: best.Chunk, Depth: best.Depth, Workers: best.Workers, GBps: best.GBps,
+	}, nil
 }

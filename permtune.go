@@ -3,10 +3,7 @@ package inplace
 import (
 	"fmt"
 	"reflect"
-	"time"
 
-	"inplace/internal/parallel"
-	"inplace/internal/stats"
 	"inplace/internal/tensor"
 	"inplace/internal/tune"
 )
@@ -14,25 +11,8 @@ import (
 // Autotuning for PermuteAxes: TunePermute measures the planner's
 // strategy candidates (both factorizations, plus the cycle fallback on
 // small tensors) across the worker budget and records the winner in the
-// wisdom table's perm section, keyed by the canonical (dims, perm) form
-// so every raw shape that reduces to the same passes shares the entry.
-
-// lookupPermWisdom returns the recorded permutation decision for the
-// canonical (dims, perm) strings with the given element size under the
-// worker budget that workersOpt resolves to.
-func lookupPermWisdom(dims, perm string, elemSize, workersOpt int) (tune.PermDecision, bool) {
-	k := tune.PermKey{Dims: dims, Perm: perm, ElemSize: elemSize, MaxWorkers: parallel.Workers(workersOpt)}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupPerm(k)
-}
-
-func storePermWisdom(k tune.PermKey, d tune.PermDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StorePerm(k, d)
-	wisdomTab.mu.Unlock()
-	flushPlannerCache()
-}
+// wisdom table keyed by the canonical (dims, perm) form, so every raw
+// shape that reduces to the same passes shares the entry.
 
 // PermuteTuneResult reports the winning decision of one TunePermute
 // call. Dims and Perm are the canonical forms the decision is keyed
@@ -64,27 +44,13 @@ const cycleTuneMaxBytes = 1 << 21
 // of row-major dims tensors of T with perm — greedy vs. inverse
 // factorization, worker counts at 1 and the budget, plus the
 // cycle-leader fallback on small tensors — records the winner in the
-// process wisdom table's perm section, and returns it. Subsequent
-// permutation planners for any shape with the same canonical form (with
-// Options.Tuning at WisdomAuto) use the measured decision; SaveWisdom
-// persists it for future processes.
+// process wisdom table, and returns it. Subsequent permutation planners
+// for any shape with the same canonical form (with Options.Tuning at
+// WisdomAuto) use the measured decision; SaveWisdom persists it for
+// future processes.
 func TunePermute[T any](dims, perm []int, cfgs ...TuneConfig) (PermuteTuneResult, error) {
-	c := TuneConfig{}
-	if len(cfgs) > 0 {
-		c = cfgs[0]
-	}
-	cfg := c.internal()
-	if cfg.Reps <= 0 {
-		cfg.Reps = 5
-	}
-	if cfg.MinSample <= 0 {
-		cfg.MinSample = time.Millisecond
-	}
-	if cfg.MaxCandidate <= 0 {
-		cfg.MaxCandidate = 80 * time.Millisecond
-	}
+	cfg := tuneConfig(cfgs)
 	elemSize := int(reflect.TypeFor[T]().Size())
-	budget := parallel.Workers(c.Workers)
 
 	// Validate and canonicalize once; an identity permutation has nothing
 	// to measure.
@@ -95,61 +61,38 @@ func TunePermute[T any](dims, perm []int, cfgs ...TuneConfig) (PermuteTuneResult
 	if probe.Strategy() == permStrategyNoop {
 		return PermuteTuneResult{}, fmt.Errorf("%w (identity permutation)", ErrNoTuneResult)
 	}
-
-	strategies := []string{tensor.StrategyGreedy, tensor.StrategyInverse}
-	if probe.size*elemSize <= cycleTuneMaxBytes {
-		strategies = append(strategies, tensor.StrategyCycle)
-	}
-	workerSet := []int{1}
-	if budget > 1 {
-		workerSet = append(workerSet, budget)
-	}
+	k := wisdomKey(tune.Key{Kind: tune.KindPermute, Dims: probe.canonDims, Perm: probe.canonPerm, ElemSize: elemSize}, int64(cfg.MaxWorkers))
 
 	data := make([]T, probe.size)
-	best := tune.PermDecision{}
-	bestCost := 0.0
-	for _, strat := range strategies {
-		for _, w := range workerSet {
-			if strat == tensor.StrategyCycle && w > 1 {
-				continue // the cycle walk is inherently sequential
-			}
-			pp, err := planPermute(dims, perm, Options{Workers: w, Tuning: WisdomOff}, elemSize, strat)
-			if err != nil {
-				return PermuteTuneResult{}, err
-			}
-			pl := newPermutePlanner[T](pp)
-			run := func() {
-				// Permutations are data-independent, so timing does not
-				// care that successive runs keep permuting the buffer.
-				if err := pl.Execute(data); err != nil {
-					panic(err)
-				}
-			}
-			run() // warm the scratch arenas
-			samples := tune.Measure(run, tune.MeasureOpts{
-				Reps:      cfg.Reps,
-				MinSample: cfg.MinSample,
-				MaxTotal:  cfg.MaxCandidate,
-			})
-			cost := stats.Median(samples)
-			if bestCost == 0 || cost < bestCost {
-				best = tune.PermDecision{Strategy: strat, Workers: w}
-				bestCost = cost
-			}
+	s := tune.Search[tune.Decision]{Opts: cfg.MeasureOpts, Run: func(d tune.Decision) (func() error, error) {
+		pp, err := planPermute(dims, perm, Options{Workers: d.Workers, Tuning: WisdomOff}, elemSize, d.Variant)
+		if err != nil {
+			return nil, err
 		}
+		pl := newPermutePlanner[T](pp)
+		// Permutations are data-independent, so timing does not care
+		// that successive runs keep permuting the buffer.
+		return func() error { return pl.Execute(data) }, nil
+	}}
+	for _, strategy := range []string{tensor.StrategyGreedy, tensor.StrategyInverse} {
+		s.Try(tune.Decision{Variant: strategy, Workers: 1})
+		s.Try(tune.Decision{Variant: strategy, Workers: k.Budget})
 	}
-	if bestCost <= 0 {
-		return PermuteTuneResult{}, fmt.Errorf("%w (%s perm %s)", ErrNoTuneResult, probe.canonDims, probe.canonPerm)
+	if probe.size*elemSize <= cycleTuneMaxBytes {
+		// The cycle walk is inherently sequential.
+		s.Try(tune.Decision{Variant: tensor.StrategyCycle, Workers: 1})
+	}
+	best, ns, err := s.Best()
+	if err != nil {
+		return PermuteTuneResult{}, err
 	}
 	// One pass reads and writes the tensor once; ns/op and GB/s share
 	// the 1e9 factor (the 2D tuner's convention).
-	best.GBps = 2 * float64(probe.size) * float64(elemSize) / bestCost
-
-	k := tune.PermKey{Dims: probe.canonDims, Perm: probe.canonPerm, ElemSize: elemSize, MaxWorkers: budget}
-	storePermWisdom(k, best)
+	best.GBps = 2 * float64(probe.size) * float64(elemSize) / ns
+	storeWisdom(k, best)
 	return PermuteTuneResult{
-		Dims: k.Dims, Perm: k.Perm, ElemSize: elemSize, MaxWorkers: budget,
-		Strategy: best.Strategy, Workers: best.Workers, GBps: best.GBps,
+		Dims: k.Dims, Perm: k.Perm, ElemSize: elemSize, MaxWorkers: k.Budget,
+		Strategy: best.Variant, Workers: best.Workers, GBps: best.GBps,
 	}, nil
 }
 
@@ -169,12 +112,4 @@ func TunePermuteElem(dims, perm []int, elemSize int, cfgs ...TuneConfig) (Permut
 	default:
 		return PermuteTuneResult{}, fmt.Errorf("%w: %d (want 1, 2, 4 or 8)", ErrElemSize, elemSize)
 	}
-}
-
-// PermWisdomLen returns the number of permutation decisions in the
-// process wisdom table.
-func PermWisdomLen() int {
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.PermLen()
 }

@@ -10,6 +10,7 @@ import (
 	"inplace/internal/parallel"
 	"inplace/internal/stats"
 	"inplace/internal/tensor"
+	"inplace/internal/tune"
 )
 
 // Rank-generic axis permutation: PermuteAxes reorders the axes of a
@@ -55,8 +56,8 @@ type permStep struct {
 // permStrategyNoop names the empty plan of an identity permutation.
 const permStrategyNoop = "noop"
 
-// permShapeErr, permErr and permWisdomErr build the validation errors
-// out of line, mirroring shapeErr/lengthErr.
+// permShapeErr and permErr build the validation errors out of line,
+// mirroring shapeErr/lengthErr.
 func permShapeErr(dims []int, cause error) error {
 	if errors.Is(cause, tensor.ErrOverflow) {
 		return fmt.Errorf("%w (dims %v)", ErrOverflow, dims)
@@ -66,10 +67,6 @@ func permShapeErr(dims []int, cause error) error {
 
 func permErr(perm, dims []int) error {
 	return fmt.Errorf("%w (perm %v for rank %d)", ErrPerm, perm, len(dims))
-}
-
-func permWisdomErr(dims, perm string, elemSize int) error {
-	return fmt.Errorf("%w (%s perm %s, %d-byte elements)", ErrNoWisdom, dims, perm, elemSize)
 }
 
 // planPermute validates, canonicalizes and factors one permutation
@@ -100,29 +97,45 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 		return pp, nil
 	}
 
+	greedy := tensor.FactorGreedy(cs, cp)
+	inverse := tensor.FactorInverse(cs, cp)
+	factored := func(strategy string) []tensor.Step {
+		switch strategy {
+		case tensor.StrategyGreedy:
+			return greedy
+		case tensor.StrategyInverse:
+			return inverse
+		}
+		return nil // the cycle walk needs no scratch
+	}
+	// A strategy whose scratch floor exceeds the caller's bound is not a
+	// candidate (the reversal-method regime), whoever proposes it.
+	fits := func(strategy string, workers int) bool {
+		return o.MaxScratchBytes <= 0 || elemSize <= 0 ||
+			tensor.ScratchFloor(factored(strategy), elemSize, parallel.Workers(workers), o.BlockWidth) <= o.MaxScratchBytes
+	}
+
 	strategy := forced
-	if strategy == "" && elemSize > 0 && o.Tuning != WisdomOff {
-		if d, ok := lookupPermWisdom(pp.canonDims, pp.canonPerm, elemSize, o.Workers); ok {
-			strategy = d.Strategy
-			if o.Workers == 0 {
-				o.Workers = d.Workers
-			}
-		} else if o.Tuning == WisdomRequired {
-			return nil, permWisdomErr(pp.canonDims, pp.canonPerm, elemSize)
+	if strategy == "" && elemSize > 0 {
+		k := wisdomKey(tune.Key{Kind: tune.KindPermute, Dims: pp.canonDims, Perm: pp.canonPerm, ElemSize: elemSize}, int64(o.Workers))
+		d, ok, err := lookupWisdom(o.Tuning, k)
+		if err != nil {
+			return nil, err
+		}
+		workers := o.Workers
+		if workers == 0 {
+			workers = d.Workers
+		}
+		// Explicit options win over wisdom: a decision over the
+		// MaxScratchBytes bound is ignored.
+		if ok && fits(d.Variant, workers) {
+			strategy, o.Workers = d.Variant, workers
 		}
 	}
 	pp.workers = o.Workers
 
-	greedy := tensor.FactorGreedy(cs, cp)
-	inverse := tensor.FactorInverse(cs, cp)
 	if strategy == "" {
-		// Budget first: a factorization whose scratch floor exceeds the
-		// caller's bound is not a candidate (the reversal-method regime).
-		fits := func(steps []tensor.Step) bool {
-			return o.MaxScratchBytes <= 0 || elemSize <= 0 ||
-				tensor.ScratchFloor(steps, elemSize, parallel.Workers(o.Workers), o.BlockWidth) <= o.MaxScratchBytes
-		}
-		gFit, iFit := fits(greedy), fits(inverse)
+		gFit, iFit := fits(tensor.StrategyGreedy, o.Workers), fits(tensor.StrategyInverse, o.Workers)
 		switch {
 		case gFit && iFit:
 			if tensor.Cost(inverse) < tensor.Cost(greedy) {
@@ -140,16 +153,12 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	}
 	pp.strategy = strategy
 
-	var steps []tensor.Step
-	switch strategy {
-	case tensor.StrategyGreedy:
-		steps = greedy
-	case tensor.StrategyInverse:
-		steps = inverse
-	case tensor.StrategyCycle:
+	if strategy == tensor.StrategyCycle {
 		pp.cyc = newCyclePlan(cs, cp)
 		return pp, nil
-	default:
+	}
+	steps := factored(strategy)
+	if steps == nil {
 		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, strategy)
 	}
 
@@ -307,8 +316,8 @@ type PermutePlanner[T any] struct {
 // plan for permuting the axes of rank-k arrays of T repeatedly. The
 // variadic opts follows NewPlanner: at most one Options value is
 // honoured. Knowing the element type, it consults the process wisdom
-// table's perm section (see TunePermute) for the strategy, and the 2D
-// section for each factored pass.
+// table for the strategy (see TunePermute) and for each factored 2D
+// pass, unless MaxScratchBytes rules the recorded strategy out.
 func NewPermutePlanner[T any](dims, perm []int, opts ...Options) (*PermutePlanner[T], error) {
 	o := Options{}
 	if len(opts) > 0 {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"inplace/internal/tune"
 )
 
 // naivePermute is the out-of-place reference: a strided copy into a
@@ -251,6 +253,24 @@ func TestPermuteAxesScratchBudget(t *testing.T) {
 	if pl.Plan().Strategy() != "cycle" {
 		t.Fatalf("budgeted strategy = %q, want cycle", pl.Plan().Strategy())
 	}
+	// Explicit options win over wisdom: a stored factored decision over
+	// the bound is ignored, under WisdomRequired too.
+	ClearWisdom()
+	defer ClearWisdom()
+	storeWisdom(wisdomKey(tune.Key{Kind: tune.KindPermute, Dims: pl.Plan().canonDims, Perm: pl.Plan().canonPerm, ElemSize: 4}, 0),
+		tune.Decision{Variant: "greedy", Workers: 1})
+	for _, mode := range []Tuning{WisdomAuto, WisdomRequired} {
+		wp, err := NewPermutePlanner[uint32](dims, perm, Options{MaxScratchBytes: 16, Tuning: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := wp.Plan().Strategy(); s != "cycle" {
+			t.Fatalf("Tuning %v: budgeted strategy with greedy wisdom = %q, want cycle", mode, s)
+		}
+	}
+	if wp, err := NewPermutePlanner[uint32](dims, perm, Options{}); err != nil || wp.Plan().Strategy() != "greedy" {
+		t.Fatalf("unbudgeted planner ignored the stored decision: %v", err)
+	}
 	size := 6 * 50 * 4
 	data := fillSeq(size)
 	want := naivePermute(fillSeq(size), dims, perm)
@@ -265,19 +285,21 @@ func TestPermuteAxesScratchBudget(t *testing.T) {
 }
 
 // Perm wisdom steers the planner: a recorded decision for the canonical
-// form must be picked up by a fresh planner, and WisdomRequired must be
-// satisfied by it.
+// form must be picked up by a fresh planner under the budget it was
+// tuned with, and WisdomRequired must be satisfied by it there and only
+// there.
 func TestPermuteWisdomSteersPlanner(t *testing.T) {
+	ClearWisdom()
 	defer ClearWisdom()
 	dims := []int{4, 8, 8, 3}
 	perm := []int{0, 3, 1, 2}
 	if _, err := TunePermute[uint32](dims, perm, TuneConfig{Workers: 1, Fast: true}); err != nil {
 		t.Fatal(err)
 	}
-	if PermWisdomLen() != 1 {
-		t.Fatalf("PermWisdomLen = %d, want 1", PermWisdomLen())
+	if WisdomLen() != 1 {
+		t.Fatalf("WisdomLen = %d, want 1", WisdomLen())
 	}
-	pl, err := NewPermutePlanner[uint32](dims, perm, Options{Tuning: WisdomRequired})
+	pl, err := NewPermutePlanner[uint32](dims, perm, Options{Workers: 1, Tuning: WisdomRequired})
 	if err != nil {
 		t.Fatalf("WisdomRequired after TunePermute: %v", err)
 	}
@@ -285,8 +307,12 @@ func TestPermuteWisdomSteersPlanner(t *testing.T) {
 		t.Fatalf("tuned strategy = %q", s)
 	}
 	// A different raw shape with the same canonical form shares the entry.
-	if _, err := NewPermutePlanner[uint32]([]int{4, 1, 8, 8, 3}, []int{0, 1, 4, 2, 3}, Options{Tuning: WisdomRequired}); err != nil {
+	if _, err := NewPermutePlanner[uint32]([]int{4, 1, 8, 8, 3}, []int{0, 1, 4, 2, 3}, Options{Workers: 1, Tuning: WisdomRequired}); err != nil {
 		t.Fatalf("canonical-form sharing: %v", err)
+	}
+	// The worker budget is part of the key: a 2-worker plan has no wisdom.
+	if _, err := NewPermutePlanner[uint32](dims, perm, Options{Workers: 2, Tuning: WisdomRequired}); !errors.Is(err, ErrNoWisdom) {
+		t.Fatalf("Workers 2 planner matched budget-1 wisdom: err = %v, want ErrNoWisdom", err)
 	}
 	checkPermute(t, dims, perm, Options{})
 }

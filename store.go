@@ -9,12 +9,13 @@ package inplace
 // transpose engine, and wisdom-backed chunk sizing via TuneStore.
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 	"unsafe"
 
 	"inplace/internal/mathutil"
@@ -242,13 +243,12 @@ func resolveChunkRows(rows, fields, elemSize int, o DatasetOptions) (int, error)
 	if o.ChunkRows != 0 {
 		return o.ChunkRows, nil
 	}
-	if o.Tuning != WisdomOff {
-		if d, ok := lookupStoreWisdom(rows, fields, elemSize); ok {
-			return d.ChunkRows, nil
-		}
-		if o.Tuning == WisdomRequired {
-			return 0, fmt.Errorf("%w (%d fields, %d-byte elements, tile store)", ErrNoWisdom, fields, elemSize)
-		}
+	d, ok, err := lookupWisdom(o.Tuning, wisdomKey(tune.Key{Kind: tune.KindStore, Rows: rows, Cols: fields, ElemSize: elemSize}, 0))
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		return int(d.Chunk), nil
 	}
 	return defaultChunkRows(rows, fields, elemSize), nil
 }
@@ -272,21 +272,6 @@ func defaultChunkRows(rows, fields, elemSize int) int {
 	return cr
 }
 
-// lookupStoreWisdom returns the recorded tile-store decision for a
-// schema and row-count class.
-func lookupStoreWisdom(rows, fields, elemSize int) (tune.StoreDecision, bool) {
-	k := tune.StoreKey{Fields: fields, ElemSize: elemSize, RowsLog2: tune.BudgetLog2(int64(rows))}
-	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.LookupStore(k)
-}
-
-func storeStoreWisdom(k tune.StoreKey, d tune.StoreDecision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.StoreStore(k, d)
-	wisdomTab.mu.Unlock()
-}
-
 // StoreTuneResult reports the winning ingest configuration of a
 // TuneStore call.
 type StoreTuneResult struct {
@@ -304,21 +289,18 @@ func (r StoreTuneResult) String() string {
 		r.Rows, r.Fields, r.ElemSize, r.ChunkRows, r.Workers, r.GBps)
 }
 
-// TuneStore measures tile-store ingest across chunk heights (and worker
-// counts) for a schema by building scratch datasets of the real shape in
-// a temp directory, records the winner in the process wisdom table under
-// the row count's binary magnitude class, and returns it. Subsequent
+// TuneStore measures tile-store ingest across chunk heights for a
+// schema by building scratch datasets of the real shape in a temp
+// directory, records the winner in the process wisdom table under the
+// row count's binary magnitude class, and returns it. Subsequent
 // CreateDataset calls for a matching schema (with DatasetOptions.Tuning
 // at WisdomAuto and ChunkRows zero) use the measured chunk height;
 // SaveWisdom persists it alongside the transpose decisions.
 //
 // The call writes (and removes) scratch datasets of rows*fields*elemSize
-// bytes each; expect one full ingest per candidate.
+// bytes each; expect several full ingests per candidate.
 func TuneStore(rows, fields, elemSize int, cfgs ...TuneConfig) (StoreTuneResult, error) {
-	var c TuneConfig
-	if len(cfgs) > 0 {
-		c = cfgs[0]
-	}
+	cfg := tuneConfig(cfgs)
 	if rows <= 0 || fields <= 0 || elemSize <= 0 {
 		return StoreTuneResult{}, shapeErr(rows, fields)
 	}
@@ -331,29 +313,6 @@ func TuneStore(rows, fields, elemSize int, cfgs ...TuneConfig) (StoreTuneResult,
 		return StoreTuneResult{}, overflowErr(rows, fields)
 	}
 
-	// Candidate chunk heights: the heuristic and its neighbors two
-	// octaves either way, deduplicated after clamping.
-	base := defaultChunkRows(rows, fields, elemSize)
-	var cands []int
-	seen := map[int]bool{}
-	for _, cr := range []int{base / 4, base / 2, base, base * 2, base * 4} {
-		if cr < 1 {
-			cr = 1
-		}
-		if cr > rows {
-			cr = rows
-		}
-		if !seen[cr] {
-			seen[cr] = true
-			cands = append(cands, cr)
-		}
-	}
-	workers := parallel.Workers(c.Workers)
-	reps := 1
-	if c.Reps > 0 {
-		reps = c.Reps
-	}
-
 	scratch, err := os.MkdirTemp("", "xposestore-tune-*")
 	if err != nil {
 		return StoreTuneResult{}, err
@@ -364,59 +323,37 @@ func TuneStore(rows, fields, elemSize int, cfgs ...TuneConfig) (StoreTuneResult,
 	for i := range input {
 		input[i] = byte(i*2654435761 + i>>8)
 	}
-
-	best := StoreTuneResult{Rows: rows, Fields: fields, ElemSize: elemSize}
-	for ci, chunkRows := range cands {
-		var bestRun float64
-		for rep := 0; rep < reps; rep++ {
-			dir := filepath.Join(scratch, fmt.Sprintf("cand-%d-%d", ci, rep))
-			ds, err := tilestore.Create(dir, tilestore.Schema{
-				Rows: rows, Fields: fields, ElemSize: elemSize, ChunkRows: chunkRows,
-			}, tilestore.Options{Workers: workers, Engine: datasetEngine(workers), Label: "tune"})
+	workers := parallel.Workers(cfg.MaxWorkers)
+	runs := 0
+	s := tune.Search[tune.Decision]{Opts: cfg.MeasureOpts, Run: func(d tune.Decision) (func() error, error) {
+		schema := tilestore.Schema{Rows: rows, Fields: fields, ElemSize: elemSize, ChunkRows: int(d.Chunk)}
+		opts := tilestore.Options{Workers: workers, Engine: datasetEngine(workers), Label: "tune"}
+		// Every run ingests a fresh dataset: creating and removing it is
+		// part of the measured cost.
+		return func() error {
+			runs++
+			dir := filepath.Join(scratch, fmt.Sprintf("run-%d", runs))
+			ds, err := tilestore.Create(dir, schema, opts)
 			if err != nil {
-				return StoreTuneResult{}, err
+				return err
 			}
-			start := time.Now()
-			err = ds.Ingest(newSliceReader(input))
-			elapsed := time.Since(start)
-			ds.Close()
-			if rmErr := os.RemoveAll(dir); err == nil {
-				err = rmErr
-			}
-			if err != nil {
-				return StoreTuneResult{}, err
-			}
-			if gbps := float64(total) / elapsed.Seconds() / 1e9; gbps > bestRun {
-				bestRun = gbps
-			}
-		}
-		if bestRun > best.GBps {
-			best.GBps = bestRun
-			best.ChunkRows = chunkRows
-			best.Workers = workers
-		}
+			return cmp.Or(ds.Ingest(bytes.NewReader(input)), ds.Close(), os.RemoveAll(dir))
+		}, nil
+	}}
+	// Candidate chunk heights: the heuristic and its neighbors two
+	// octaves either way, clamped to the dataset.
+	base := defaultChunkRows(rows, fields, elemSize)
+	for _, chunkRows := range []int{base / 4, base / 2, base, base * 2, base * 4} {
+		s.Try(tune.Decision{Chunk: int64(min(max(chunkRows, 1), rows)), Workers: workers})
 	}
-	storeStoreWisdom(
-		tune.StoreKey{Fields: fields, ElemSize: elemSize, RowsLog2: tune.BudgetLog2(int64(rows))},
-		tune.StoreDecision{ChunkRows: best.ChunkRows, Workers: best.Workers, GBps: best.GBps},
-	)
-	return best, nil
-}
-
-// newSliceReader avoids bytes.NewReader's escape of the backing array
-// bookkeeping between reps — a plain cursor over a shared slice.
-func newSliceReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct {
-	b []byte
-	n int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.n >= len(r.b) {
-		return 0, io.EOF
+	best, ns, err := s.Best()
+	if err != nil {
+		return StoreTuneResult{}, err
 	}
-	n := copy(p, r.b[r.n:])
-	r.n += n
-	return n, nil
+	best.GBps = float64(total) / ns
+	storeWisdom(wisdomKey(tune.Key{Kind: tune.KindStore, Rows: rows, Cols: fields, ElemSize: elemSize}, 0), best)
+	return StoreTuneResult{
+		Rows: rows, Fields: fields, ElemSize: elemSize,
+		ChunkRows: int(best.Chunk), Workers: best.Workers, GBps: best.GBps,
+	}, nil
 }

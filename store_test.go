@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"inplace/internal/tune"
 )
 
 // storeAoS builds a deterministic row-major AoS byte image.
@@ -160,18 +162,18 @@ func TestTuneStoreWisdom(t *testing.T) {
 		t.Fatal("saved wisdom has no store section")
 	}
 	ClearWisdom()
-	if _, ok := lookupStoreWisdom(rows, fields, elem); ok {
+	if _, ok, _ := lookupWisdom(WisdomAuto, wisdomKey(tune.Key{Kind: tune.KindStore, Rows: rows, Cols: fields, ElemSize: elem}, 0)); ok {
 		t.Fatal("store wisdom survived ClearWisdom")
 	}
 	if err := LoadWisdom(path); err != nil {
 		t.Fatalf("LoadWisdom: %v", err)
 	}
-	got, ok := lookupStoreWisdom(rows, fields, elem)
+	got, ok, _ := lookupWisdom(WisdomAuto, wisdomKey(tune.Key{Kind: tune.KindStore, Rows: rows, Cols: fields, ElemSize: elem}, 0))
 	if !ok {
 		t.Fatal("store decision lost in save/load round trip")
 	}
-	if got.ChunkRows != res.ChunkRows {
-		t.Fatalf("round-tripped ChunkRows = %d, want %d", got.ChunkRows, res.ChunkRows)
+	if int(got.Chunk) != res.ChunkRows {
+		t.Fatalf("round-tripped ChunkRows = %d, want %d", got.Chunk, res.ChunkRows)
 	}
 
 	// WisdomRequired with no matching entry fails closed.

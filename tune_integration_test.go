@@ -130,7 +130,7 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 	// Write the wisdom file the way xposetune does and check it
 	// round-trips exactly.
 	tbl := tune.NewTable()
-	tbl.Store(tune.Key{Rows: rows, Cols: cols, ElemSize: 8, MaxWorkers: 1}, d)
+	tbl.Store(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: 8, Budget: 1}, d)
 	var buf bytes.Buffer
 	if err := tbl.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -14,11 +14,12 @@ import (
 
 // This file is the public face of the autotuner (internal/tune): a
 // process-wide wisdom table of measured-optimal execution strategies,
-// populated by Tune or loaded from disk with LoadWisdom, that the
-// planner consults (per Options.Tuning) before falling back to the
-// paper's static shape heuristics. The pattern is FFTW's wisdom: plan
-// quality comes from measurement, persistence makes the measurement pay
-// once per machine instead of once per process.
+// populated by the tuners (Tune, TunePermute, TuneOOC, TuneStore) or
+// loaded from disk with LoadWisdom, that the planners consult (per
+// Options.Tuning) before falling back to the paper's static shape
+// heuristics. The pattern is FFTW's wisdom: plan quality comes from
+// measurement, persistence makes the measurement pay once per machine
+// instead of once per process.
 
 // wisdomTab is the process wisdom table. All access goes through the
 // helpers below; the planner cache is flushed on every mutation so
@@ -28,14 +29,47 @@ var wisdomTab = struct {
 	t  *tune.Table
 }{t: tune.NewTable()}
 
-// lookupWisdom returns the recorded decision for an order-normalized
-// rows×cols shape with the given element size under the worker budget
-// that workersOpt resolves to.
-func lookupWisdom(rows, cols, elemSize, workersOpt int) (tune.Decision, bool) {
-	k := tune.Key{Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: parallel.Workers(workersOpt)}
+// wisdomKey completes k into the table key of one problem from what the
+// caller configured: budget is the Workers option of a Transpose or
+// Permute problem (0 = GOMAXPROCS) and the byte budget of an OOC
+// problem, and a Store key arrives with its raw row count in Rows. The
+// tuner that records a decision and every planner that consults one
+// build their key here, so the two cannot resolve a budget differently.
+func wisdomKey(k tune.Key, budget int64) tune.Key {
+	switch k.Kind {
+	case tune.KindTranspose, tune.KindPermute:
+		k.Budget = parallel.Workers(int(budget))
+	case tune.KindOOC:
+		k.Budget = tune.Log2(budget)
+	case tune.KindStore:
+		k.Rows = tune.Log2(int64(k.Rows))
+	}
+	return k
+}
+
+// lookupWisdom returns the decision recorded for k as the tuning mode
+// allows: none under WisdomOff, and ErrNoWisdom for a miss under
+// WisdomRequired. Hits and misses allocate nothing.
+func lookupWisdom(mode Tuning, k tune.Key) (tune.Decision, bool, error) {
+	if mode == WisdomOff {
+		return tune.Decision{}, false, nil
+	}
 	wisdomTab.mu.RLock()
-	defer wisdomTab.mu.RUnlock()
-	return wisdomTab.t.Lookup(k)
+	d, ok := wisdomTab.t.Lookup(k)
+	wisdomTab.mu.RUnlock()
+	if !ok && mode == WisdomRequired {
+		return d, false, fmt.Errorf("%w (%v)", ErrNoWisdom, k)
+	}
+	return d, ok, nil
+}
+
+// storeWisdom records d under k. Cached planners were resolved against
+// the old wisdom; they are rebuilt on next use.
+func storeWisdom(k tune.Key, d tune.Decision) {
+	wisdomTab.mu.Lock()
+	wisdomTab.t.Store(k, d)
+	wisdomTab.mu.Unlock()
+	flushPlannerCache()
 }
 
 // applyWisdom fills every option the caller left at its zero value from
@@ -63,12 +97,14 @@ func applyWisdom(o Options, d tune.Decision) Options {
 	return o
 }
 
-// TuneConfig bounds a Tune call.
+// TuneConfig bounds a tuning run. Tune, TunePermute, TuneOOC and
+// TuneStore all measure under it: each candidate is warmed once, then
+// timed as the median of Reps samples within MaxCandidateTime.
 type TuneConfig struct {
 	// Workers is the worker budget the tuner may spend; 0 means
-	// GOMAXPROCS. The budget becomes part of the wisdom key: a decision
-	// tuned under budget 4 is only consulted by plans resolving to a
-	// 4-worker budget.
+	// GOMAXPROCS. For Tune and TunePermute the budget becomes part of
+	// the wisdom key: a decision tuned under budget 4 is only consulted
+	// by plans resolving to a 4-worker budget.
 	Workers int
 	// Fast caps every measurement knob for smoke runs: single-sample
 	// candidates with a microsecond-scale floor. Decisions are noisy;
@@ -82,7 +118,13 @@ type TuneConfig struct {
 	MaxCandidateTime time.Duration
 }
 
-func (c TuneConfig) internal() tune.Config {
+// tuneConfig resolves a tuner's optional TuneConfig into the internal
+// configuration all four tuners measure under.
+func tuneConfig(cfgs []TuneConfig) tune.Config {
+	var c TuneConfig
+	if len(cfgs) > 0 {
+		c = cfgs[0]
+	}
 	cfg := tune.Config{MaxWorkers: c.Workers}
 	if c.Fast {
 		cfg = tune.Smoke()
@@ -92,7 +134,7 @@ func (c TuneConfig) internal() tune.Config {
 		cfg.Reps = c.Reps
 	}
 	if c.MaxCandidateTime > 0 {
-		cfg.MaxCandidate = c.MaxCandidateTime
+		cfg.MaxTotal = c.MaxCandidateTime
 	}
 	return cfg
 }
@@ -133,21 +175,18 @@ func (r TuneResult) String() string {
 // milliseconds, and allocates a rows×cols scratch matrix for the
 // duration of the call.
 func Tune[T any](rows, cols int, cfgs ...TuneConfig) (TuneResult, error) {
-	c := TuneConfig{}
-	if len(cfgs) > 0 {
-		c = cfgs[0]
-	}
-	d, err := tune.TuneFor[T](rows, cols, c.internal())
+	cfg := tuneConfig(cfgs)
+	d, err := tune.TuneFor[T](rows, cols, cfg)
 	if err != nil {
 		return TuneResult{}, err
 	}
 	elemSize := int(reflect.TypeFor[T]().Size())
-	k := tune.Key{Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: parallel.Workers(c.Workers)}
+	k := wisdomKey(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: elemSize}, int64(cfg.MaxWorkers))
 	storeWisdom(k, d)
 
 	v, _ := d.CoreVariant()
 	res := TuneResult{
-		Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: k.MaxWorkers,
+		Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: k.Budget,
 		Method: methodForVariant(v), Direction: ForceR2C,
 		Workers: d.Workers, BlockWidth: d.BlockW, GBps: d.GBps,
 	}
@@ -174,15 +213,6 @@ func TuneElem(rows, cols, elemSize int, cfgs ...TuneConfig) (TuneResult, error) 
 	default:
 		return TuneResult{}, fmt.Errorf("%w: %d (want 1, 2, 4 or 8)", ErrElemSize, elemSize)
 	}
-}
-
-func storeWisdom(k tune.Key, d tune.Decision) {
-	wisdomTab.mu.Lock()
-	wisdomTab.t.Store(k, d)
-	wisdomTab.mu.Unlock()
-	// Cached planners for this shape were resolved against the old
-	// wisdom; rebuild on next use.
-	flushPlannerCache()
 }
 
 // LoadWisdom merges the wisdom file at path into the process table.
@@ -232,7 +262,9 @@ func SaveWisdom(path string) error {
 	return f.Close()
 }
 
-// WisdomLen returns the number of decisions in the process wisdom table.
+// WisdomLen returns the number of decisions of every kind — 2D,
+// permutation, out-of-core and tile-store — in the process wisdom
+// table.
 func WisdomLen() int {
 	wisdomTab.mu.RLock()
 	defer wisdomTab.mu.RUnlock()

@@ -210,7 +210,7 @@ func TestScratchBytesFollowsWisdom(t *testing.T) {
 	}
 
 	tbl := tune.NewTable()
-	tbl.Store(tune.Key{Rows: rows, Cols: cols, ElemSize: elem, MaxWorkers: 2},
+	tbl.Store(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: elem, Budget: 2},
 		tune.Decision{Variant: "cache-aware", C2R: false, Workers: 2, BlockW: 32})
 	path := filepath.Join(t.TempDir(), "wisdom.json")
 	f, err := os.Create(path)
