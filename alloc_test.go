@@ -66,6 +66,15 @@ func TestExecuteZeroAllocGcdShapes(t *testing.T) {
 	requireZeroAllocs(t, 120, 96, inplace.Options{Workers: 1, Method: inplace.CacheAware})
 }
 
+func TestExecuteZeroAllocRowKernels(t *testing.T) {
+	// One shape per row-shuffle kernel: the b = 1 rotation (square), the
+	// a = 1 interleave in both directions, and the stride-table gather
+	// on a coprime shape (the gcd shapes above run it too).
+	for _, sh := range [][2]int{{256, 256}, {16, 4096}, {4096, 16}, {250, 257}} {
+		requireZeroAllocs(t, sh[0], sh[1], inplace.Options{Workers: 1, Method: inplace.CacheAware})
+	}
+}
+
 func TestPermuteExecuteZeroAllocRank2(t *testing.T) {
 	// The rank-2 [1,0] permutation routes through the same planning path
 	// as Transpose: one single-slab pass on the warm 2D engine, so the

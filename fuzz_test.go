@@ -19,6 +19,13 @@ func FuzzTranspose(f *testing.F) {
 	f.Add(uint16(64), uint16(48), uint8(4), uint8(1))
 	f.Add(uint16(1), uint16(200), uint8(2), uint8(2))
 	f.Add(uint16(200), uint16(1), uint8(3), uint8(0))
+	// One seed per row-shuffle kernel: a square rotation, n | m under
+	// ForceC2R (a rotation with m > n), an a = 1 interleave, and the
+	// stride-table gather with gcd > 1 and m > n under ForceR2C.
+	f.Add(uint16(24), uint16(24), uint8(0), uint8(0))
+	f.Add(uint16(12), uint16(4), uint8(3), uint8(1))
+	f.Add(uint16(16), uint16(96), uint8(0), uint8(0))
+	f.Add(uint16(60), uint16(84), uint8(3), uint8(2))
 	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, methodRaw, dirRaw uint8) {
 		rows := int(mRaw%128) + 1
 		cols := int(nRaw%128) + 1

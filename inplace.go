@@ -31,8 +31,10 @@ const (
 	// gather: a worker copies a W-column tile into cache and writes
 	// each row back through the paper's closed-form source rows, with
 	// the column shuffle's rotation and row permutation fused (§4.6,
-	// §4.7, §5.2). A transpose makes at most three sweeps over the
-	// matrix, two when gcd(rows, cols) = 1.
+	// §4.7, §5.2). Each row is shuffled through one stride table
+	// shared by all rows or, when one side divides the other, by a
+	// blocked interleave or a rotation. A transpose makes at most three
+	// sweeps over the matrix, two when gcd(rows, cols) = 1.
 	CacheAware
 	// SkinnyMethod uses the fused band sweeps of the AoS↔SoA
 	// specialization (§6.1); it falls back to CacheAware when the shape

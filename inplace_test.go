@@ -3,6 +3,7 @@ package inplace
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func reference(src []int, rows, cols int) []int {
@@ -97,6 +98,50 @@ func TestTransposeDirections(t *testing.T) {
 					t.Fatalf("direction %d block width %d %dx%d: wrong result", d, bw, rows, cols)
 				}
 			}
+		}
+	}
+	// Shapes at the edges of the engine's row-shuffle kernels, whose
+	// plan has m > n under one forced direction or the other: b = 1
+	// rotations, a = 1 interleaves with b past the interleave block,
+	// a > 1 coprime and gcd tables, and rows longer than L2 (skipped in
+	// short mode).
+	for _, sh := range [][2]int{{7, 7}, {12, 4}, {4, 12}, {3, 30003}, {30003, 3}, {97, 101}, {101, 97}, {60, 84}, {84, 60}, {2, 3 << 20}} {
+		if sh[0]*sh[1] > 1<<20 && testing.Short() {
+			continue
+		}
+		for _, d := range []Direction{HeuristicDirection, ForceC2R, ForceR2C} {
+			for _, workers := range []int{1, 2, 7} {
+				directionCase[uint8](t, sh[0], sh[1], d, workers)
+				directionCase[uint16](t, sh[0], sh[1], d, workers)
+				directionCase[uint32](t, sh[0], sh[1], d, workers)
+				directionCase[uint64](t, sh[0], sh[1], d, workers)
+			}
+		}
+	}
+}
+
+// directionCase transposes a random rows×cols matrix of T in direction
+// d on workers workers and checks it against the reference.
+func directionCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, rows, cols int, d Direction, workers int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(rows*7919 + cols)))
+	data := make([]T, rows*cols)
+	for i := range data {
+		data[i] = T(rng.Uint64())
+	}
+	want := make([]T, len(data))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			want[j*rows+i] = data[i*cols+j]
+		}
+	}
+	if err := TransposeWith(data, rows, cols, Options{Direction: d, Workers: workers, Tuning: WisdomOff}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if data[i] != want[i] {
+			var zero T
+			t.Fatalf("direction %d %dx%d elem %d workers %d: wrong at %d", d, rows, cols, unsafe.Sizeof(zero), workers, i)
 		}
 	}
 }

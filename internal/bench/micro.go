@@ -280,7 +280,6 @@ func MeasureMicro(c MicroCase, opts tune.MeasureOpts) benchfmt.Experiment {
 		defer c.Cleanup()
 	}
 	body := c.Prep()
-	body() // warm: lazy cycle decompositions, arenas, pool spin-up
 	allocs, allocBytes := allocsPerOp(body, 2)
 
 	nsSamples := tune.Measure(body, opts)
@@ -306,11 +305,14 @@ func MeasureMicro(c MicroCase, opts tune.MeasureOpts) benchfmt.Experiment {
 
 // allocsPerOp counts heap allocations and allocated bytes per call of
 // body, testing.AllocsPerRun-style: GOMAXPROCS pinned to 1 so no
-// concurrent goroutine pollutes the counters, body warmed by the caller,
-// runs calls averaged (an even count so cases that flip orientation each
-// op average both directions).
+// concurrent goroutine pollutes the counters, then one warm-up call —
+// lazy cycle decompositions, arenas, pool spin-up, and the per-P caches
+// of the one remaining P, which the pin leaves cold — then runs calls
+// averaged (an even count so cases that flip orientation each op
+// average both directions).
 func allocsPerOp(body func(), runs int) (allocs, bytes int64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -201,9 +201,11 @@ func PassRotatePre[T any](data []T, p *cr.Plan, blockW, workers int) {
 	rotateColumnsCacheAware(data, p.M, p.N, p.Rot, blockW, workers)
 }
 
-// PassRowShuffle runs the C2R row shuffle pass in isolation.
+// PassRowShuffle runs the C2R row shuffle pass in isolation, with the
+// kernel the cache-aware pipeline runs for p's shape (rowshuffle.go).
 func PassRowShuffle[T any](data []T, p *cr.Plan, workers int) {
-	rowShuffleScatterInc(data, p, workers)
+	e := NewEngine[T](NewSchedule(p, Opts{Workers: workers, Variant: CacheAware}))
+	e.shufflePass(data, newExecState[T](e.s), true)
 }
 
 // PassRotateP runs the column-shuffle rotation component in isolation.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -237,6 +238,43 @@ func TestCacheAwareBlockWidths(t *testing.T) {
 			}
 		}
 	}
+	// The row-shuffle kernels must be exact at every kernel boundary,
+	// for every element width (the interleave block depends on it) and
+	// worker count, in both directions.
+	for _, sh := range rowKernelShapes {
+		if sh.long && testing.Short() {
+			continue
+		}
+		for _, workers := range []int{1, 2, 7} {
+			tileEdgeCase[uint8](t, sh.m, sh.n, workers, 0)
+			tileEdgeCase[uint16](t, sh.m, sh.n, workers, 0)
+			tileEdgeCase[uint32](t, sh.m, sh.n, workers, 0)
+			tileEdgeCase[uint64](t, sh.m, sh.n, workers, 0)
+		}
+	}
+}
+
+// rowKernelShapes are cr plan shapes (m×n) at the edges of the
+// row-shuffle kernels of rowshuffle.go. The long one is skipped in
+// short mode.
+var rowKernelShapes = []struct {
+	m, n int
+	why  string
+	long bool
+}{
+	{7, 7, "b = 1: square rotation", false},
+	{64, 64, "b = 1: square rotation, several rows per worker", false},
+	{12, 4, "b = 1, a = 3: m > n rotation", false},
+	{30, 5, "b = 1, a = 6: m > n rotation", false},
+	{3, 30003, "a = 1: b = 10001, past the interleave block at every width", false},
+	{16, 48000, "a = 1: 16 streams, b = 3000 past the block", false},
+	{256, 4096, "a = 1: 256 streams of 16", false},
+	{97, 101, "a > 1, coprime", false},
+	{101, 97, "a > 1, coprime, m > n", false},
+	{60, 84, "gcd 12, a = 5, b = 7", false},
+	{84, 60, "gcd 12, a = 7, b = 5, m > n", false},
+	{6, 4, "gcd 2, a = 3, b = 2, m > n", false},
+	{2, 3 << 20, "a = 1: rows longer than L2 at every width", true},
 }
 
 // tileEdgeShapes are cr plan shapes (m×n) at the edges of the tiled
@@ -338,11 +376,12 @@ func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers
 	}
 	var zero T
 	es := int(unsafe.Sizeof(zero))
-	held, widest := 0, 0
+	held, widest, widestTab := 0, 0, 0
 	for i := range st.frames {
 		fr := &st.frames[i]
-		held += cap(fr.tmp)*es + cap(fr.am)*intBytes
+		held += cap(fr.tmp)*es + cap(fr.am)*intBytes + cap(fr.tab)*4
 		widest = max(widest, cap(fr.tmp))
+		widestTab = max(widestTab, cap(fr.tab))
 	}
 	for _, saved := range [][][]T{st.savedPre, st.savedRot} {
 		for _, b := range saved {
@@ -355,6 +394,9 @@ func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers
 	}
 	if w := eng.tileW; v == CacheAware && m > 1 && widest < max(n, m*w) {
 		t.Errorf("%s: widest frame %d elements, want max(n, m·W) = %d", name, widest, max(n, m*w))
+	}
+	if want := rowTableBytes(m, n) / 4; v == CacheAware && widestTab != want {
+		t.Errorf("%s: widest stride table %d entries, want %d", name, widestTab, want)
 	}
 }
 
@@ -380,6 +422,59 @@ func TestScratchBytesBoundsExecution(t *testing.T) {
 	for _, v := range []Variant{Scatter, Gather, Skinny} {
 		scratchCase[uint32](t, 20000, 6, 4, v)
 		scratchCase[uint32](t, 96, 100, 4, v)
+	}
+}
+
+// Each plan shape selects one row-shuffle kernel. Plans with a, b > 1
+// and n > MaxInt32 cannot hold their table entries in int32: they run
+// the closed-form kernels of the Scatter and Gather variants, and their
+// scratch figure holds no table.
+func TestRowKernelKinds(t *testing.T) {
+	for _, c := range []struct {
+		m, n int
+		want rowKind
+	}{
+		{1, 1, rowRotate},
+		{24, 24, rowRotate},
+		{12, 4, rowRotate},
+		{1, 300, rowInterleave},
+		{4, 100, rowInterleave},
+		{3, 1<<31 + 1, rowInterleave}, // 2^31 + 1 = 3·715827883
+		{97, 101, rowTable},
+		{60, 84, rowTable},
+		{84, 60, rowTable},
+		{2, math.MaxInt32, rowTable}, // entries up to n − 1 still fit
+		{2, 1<<31 + 1, rowClosedForm},
+		{4, 1<<31 + 2, rowClosedForm},
+	} {
+		p := cr.NewPlan(c.m, c.n)
+		if got := rowKindOf(p.A, p.B, p.N); got != c.want {
+			t.Errorf("%v: row kernel %d, want %d", p, got, c.want)
+		}
+		want := 0
+		if c.want == rowTable {
+			want = 8 * p.B
+		}
+		if got := rowTableBytes(c.m, c.n); got != want {
+			t.Errorf("%v: table bytes %d, want %d", p, got, want)
+		}
+	}
+	// The closed-form kernels stay exact when an engine selects them.
+	for _, sh := range [][2]int{{97, 101}, {60, 84}, {84, 60}, {6, 4}} {
+		m, n := sh[0], sh[1]
+		eng := NewEngine[int](NewSchedule(cr.NewPlan(m, n), Opts{Variant: CacheAware, Workers: 2}))
+		eng.row = rowClosedForm
+		data := seqSlice(m * n)
+		want := make([]int, m*n)
+		OutOfPlace(want, data, m, n)
+		eng.C2R(data)
+		if !equalSlices(data, want) {
+			t.Fatalf("%dx%d: closed-form C2R wrong", m, n)
+		}
+		eng.R2C(data)
+		if !equalSlices(data, seqSlice(m*n)) {
+			t.Fatalf("%dx%d: closed-form R2C wrong", m, n)
+		}
 	}
 }
 

@@ -19,10 +19,11 @@ const (
 	// Gather is the gather-only formulation of §4.2/§5.1 using the
 	// closed-form inverse d'^{-1}: the parallel CPU implementation.
 	Gather
-	// CacheAware is the production pipeline: the incremental row
-	// shuffle plus column passes run as one-sweep tiled gathers with
-	// the paper's closed-form source rows — at most three sweeps over
-	// the matrix, two when gcd(m,n) = 1.
+	// CacheAware is the production pipeline: a row shuffle chosen by
+	// shape — a rotation, a blocked interleave or a gather through one
+	// shared stride table — plus column passes run as one-sweep tiled
+	// gathers with the paper's closed-form source rows — at most three
+	// sweeps over the matrix, two when gcd(m,n) = 1.
 	CacheAware
 	// Skinny is the §6.1 specialization for matrices with a very small
 	// column count: fused band gathers and whole-row cycle following.

@@ -27,6 +27,13 @@ type Engine[T any] struct {
 	boundsTiles []int
 	tileLen     int
 
+	// Row-shuffle kernel of the cache-aware pipeline (rowshuffle.go),
+	// chosen from the shape: its kind, the interleave block in elements
+	// per stream, and the R2C stride-table step c·(a mod b).
+	row     rowKind
+	rowBlk  int
+	tabStep int
+
 	// Skinny band-sweep row producers, built once per engine so
 	// executions do not re-capture the plan constants.
 	c2r1, c2r2, r2c2, r2c3 bandRowFunc[T]
@@ -35,14 +42,12 @@ type Engine[T any] struct {
 	// function value inside a generic method builds a dictionary-bound
 	// funcval on the heap per use, which would break the zero-allocation
 	// steady state.
-	kRotate        func([]T, int, int, func(int) int, mathutil.Divider, []T, int, int)
-	kPermuteNaive  func([]T, int, int, func(int) int, []T, int, int)
-	kColShuffle    func([]T, *cr.Plan, []T, int, int)
-	kRowScatter    func([]T, *cr.Plan, []T, int, int)
-	kRowGather     func([]T, *cr.Plan, []T, int, int)
-	kRowScatterInc func([]T, *cr.Plan, []T, int, int)
-	kRowGatherD    func([]T, *cr.Plan, []T, int, int)
-	kRowGatherDInc func([]T, *cr.Plan, []T, int, int)
+	kRotate       func([]T, int, int, func(int) int, mathutil.Divider, []T, int, int)
+	kPermuteNaive func([]T, int, int, func(int) int, []T, int, int)
+	kColShuffle   func([]T, *cr.Plan, []T, int, int)
+	kRowScatter   func([]T, *cr.Plan, []T, int, int)
+	kRowGather    func([]T, *cr.Plan, []T, int, int)
+	kRowGatherD   func([]T, *cr.Plan, []T, int, int)
 }
 
 // NewEngine builds the typed half of an execution plan.
@@ -50,13 +55,18 @@ func NewEngine[T any](s *Schedule) *Engine[T] {
 	e := &Engine[T]{s: s}
 	e.states = arena.NewPool(func() *execState[T] { return newExecState[T](s) })
 	var zero T
-	m, n := s.Plan.M, s.Plan.N
-	e.tileW = TileWidth(m, n, int(unsafe.Sizeof(zero)), s.Opts.BlockW)
+	es := int(unsafe.Sizeof(zero))
+	p := s.Plan
+	m, n := p.M, p.N
+	e.tileW = TileWidth(m, n, es, s.Opts.BlockW)
 	e.boundsTiles = parallel.Bounds((n+e.tileW-1)/e.tileW, s.workers, 1)
 	var ok bool
 	if e.tileLen, ok = mathutil.CheckedMul(m, e.tileW); !ok {
 		panic("core: m×tile width overflows int") // unreachable: tileW <= n and m·n fits
 	}
+	e.row = rowKindOf(p.A, p.B, n)
+	e.rowBlk = interleaveBlock(p.C, p.B, es)
+	e.tabStep = p.C * p.DivB().Mod(p.A)
 	if s.Opts.Variant == Skinny && s.skinnyOK {
 		e.c2r1 = skinnyC2RPass1[T](s.Plan)
 		e.c2r2 = skinnyC2RPass2[T](s.Plan)
@@ -68,9 +78,7 @@ func NewEngine[T any](s *Schedule) *Engine[T] {
 	e.kColShuffle = columnShuffleGatherRange[T]
 	e.kRowScatter = rowShuffleScatterRange[T]
 	e.kRowGather = rowShuffleGatherRange[T]
-	e.kRowScatterInc = rowShuffleScatterIncRange[T]
 	e.kRowGatherD = rowShuffleGatherDRange[T]
-	e.kRowGatherDInc = rowShuffleGatherDIncRange[T]
 	return e
 }
 
@@ -187,21 +195,21 @@ func (e *Engine[T]) r2cGather(data []T, st *execState[T]) {
 }
 
 // c2rCacheAware composes the C2R transpose from three sweeps: the tiled
-// pre-rotation (only when gcd(m,n) > 1), the incremental row shuffle,
-// and the tiled column shuffle s'_j = p_j∘q fused into one gather
-// (Equations 23, 24, 26, 32–33).
+// pre-rotation (only when gcd(m,n) > 1), the row shuffle of
+// rowshuffle.go, and the tiled column shuffle s'_j = p_j∘q fused into
+// one gather (Equations 23, 24, 26, 32–33).
 func (e *Engine[T]) c2rCacheAware(data []T, st *execState[T]) {
 	if !e.s.Plan.Coprime {
 		e.tilePass(data, st, tilePreRotate)
 	}
-	e.rowPass(data, st, e.kRowScatterInc)
+	e.shufflePass(data, st, true)
 	e.tilePass(data, st, tileShuffle)
 }
 
 // r2cCacheAware inverts the cache-aware C2R sweep by sweep (§4.3).
 func (e *Engine[T]) r2cCacheAware(data []T, st *execState[T]) {
 	e.tilePass(data, st, tileShuffleInv)
-	e.rowPass(data, st, e.kRowGatherDInc)
+	e.shufflePass(data, st, false)
 	if !e.s.Plan.Coprime {
 		e.tilePass(data, st, tilePostRotate)
 	}
@@ -253,6 +261,51 @@ func (e *Engine[T]) rowPass(data []T, st *execState[T], kern func([]T, *cr.Plan,
 	s.dispatch(bounds, func(w, lo, hi int) {
 		kern(data, s.Plan, st.frames[w].elems(n), lo, hi)
 	})
+}
+
+// shufflePass runs the cache-aware row shuffle, C2R or R2C, over all M
+// rows.
+func (e *Engine[T]) shufflePass(data []T, st *execState[T], c2r bool) {
+	s := e.s
+	bounds := s.boundsM
+	if len(bounds) == 2 {
+		e.shuffleRows(data, &st.frames[0], c2r, bounds[0], bounds[1])
+		return
+	}
+	s.dispatch(bounds, func(w, lo, hi int) {
+		e.shuffleRows(data, &st.frames[w], c2r, lo, hi)
+	})
+}
+
+// shuffleRows runs the row shuffle of rows [lo, hi) with the kernel the
+// plan's shape selects and the scratch of frame fr: the n-element row
+// copy and, for the table kernels, the 2b-entry stride table, filled
+// here on every execution.
+//
+//xpose:hotpath
+func (e *Engine[T]) shuffleRows(data []T, fr *frame[T], c2r bool, lo, hi int) {
+	p := e.s.Plan
+	tmp := fr.elems(p.N)
+	switch e.row {
+	case rowRotate:
+		rotateRows(data, p, c2r, tmp, lo, hi)
+	case rowInterleave:
+		interleaveRows(data, p, c2r, e.rowBlk, tmp, lo, hi)
+	case rowTable:
+		tab := fr.table(2 * p.B)
+		if c2r {
+			fillStrideTable(tab, p.AInvB, p.B)
+		} else {
+			fillStrideTable(tab, e.tabStep, p.N)
+		}
+		tableRows(data, p, c2r, tab, tmp, lo, hi)
+	default:
+		if c2r {
+			rowShuffleScatterRange(data, p, tmp, lo, hi)
+		} else {
+			rowShuffleGatherDRange(data, p, tmp, lo, hi)
+		}
+	}
 }
 
 // colPass runs a column kernel over all N columns with m-element
@@ -384,11 +437,13 @@ func newExecState[T any](s *Schedule) *execState[T] {
 
 // frame is the per-worker scratch of one execution: the permute-through
 // buffer shared by the row passes and the column tiles, the tile's
-// rotation amounts, plus an inline band reader. Buffers grow on demand
-// and keep their capacity across recycled executions.
+// rotation amounts, the row shuffle's stride table, plus an inline band
+// reader. Buffers grow on demand and keep their capacity across
+// recycled executions.
 type frame[T any] struct {
 	tmp []T
 	am  []int
+	tab []int32
 	br  bandReader[T]
 }
 
@@ -399,6 +454,14 @@ func (fr *frame[T]) elems(n int) []T {
 		fr.tmp = make([]T, n)
 	}
 	return fr.tmp[:n]
+}
+
+// table returns the frame's row-shuffle stride table of n entries.
+func (fr *frame[T]) table(n int) []int32 {
+	if cap(fr.tab) < n {
+		fr.tab = make([]int32, n)
+	}
+	return fr.tab[:n]
 }
 
 // amounts returns the frame's rotation-amount array of n entries.

@@ -85,61 +85,6 @@ func rowShuffleGatherRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
 	}
 }
 
-// rowShuffleScatterIncRange is rowShuffleScatterRange with fully
-// incremental index arithmetic: walking j in order, the scatter
-// destination d'_i(j) = ((i + ⌊j/b⌋) mod m + j*m) mod n advances by
-// constant steps (j*m mod n grows by m mod n; the rotation term bumps
-// every b columns), so the inner loop performs no division at all — the
-// strongest form of the §4.4 strength reduction, available to passes
-// that visit indices in order.
-//
-//xpose:hotpath
-func rowShuffleScatterIncRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
-	m, n := p.M, p.N
-	mModN := m % n
-	divN := p.DivN()
-	b := p.B
-	for i := lo; i < hi; i++ {
-		row := data[i*n : i*n+n]
-		jb := 0           // j mod b
-		jm := 0           // (j*m) mod n
-		srMod := i        // (i + ⌊j/b⌋) mod m
-		dm := divN.Mod(i) // srMod mod n
-		for j := 0; j < n; j++ {
-			d := dm + jm
-			if d >= n {
-				d -= n
-			}
-			tmp[d] = row[j]
-			jm += mModN
-			if jm >= n {
-				jm -= n
-			}
-			jb++
-			if jb == b {
-				jb = 0
-				srMod++
-				dm++
-				if srMod == m {
-					srMod = 0
-					dm = 0
-				} else if dm == n {
-					dm = 0
-				}
-			}
-		}
-		copy(row, tmp[:n])
-	}
-}
-
-// rowShuffleScatterInc is the one-shot parallel form, kept for the
-// pass-level profiling entry points.
-func rowShuffleScatterInc[T any](data []T, p *cr.Plan, workers int) {
-	parallel.For(p.M, workers, func(_, lo, hi int) {
-		rowShuffleScatterIncRange(data, p, make([]T, p.N), lo, hi)
-	})
-}
-
 // rowShuffleGatherDRange gathers each row with d'_i directly; because
 // gathering with a permutation's forward map applies its inverse, this is
 // the row shuffle of the R2C transpose (§4.3).
@@ -151,50 +96,6 @@ func rowShuffleGatherDRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
 		row := data[i*n : i*n+n]
 		for j := range tmp[:n] {
 			tmp[j] = row[p.DPrime(i, j)]
-		}
-		copy(row, tmp[:n])
-	}
-}
-
-// rowShuffleGatherDIncRange is rowShuffleGatherDRange with the same
-// incremental index arithmetic as rowShuffleScatterIncRange: the R2C row
-// shuffle gathers through d'_i, whose values advance by constant steps
-// in j.
-//
-//xpose:hotpath
-func rowShuffleGatherDIncRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
-	m, n := p.M, p.N
-	mModN := m % n
-	divN := p.DivN()
-	b := p.B
-	for i := lo; i < hi; i++ {
-		row := data[i*n : i*n+n]
-		jb := 0
-		jm := 0
-		srMod := i
-		dm := divN.Mod(i)
-		for j := 0; j < n; j++ {
-			d := dm + jm
-			if d >= n {
-				d -= n
-			}
-			tmp[j] = row[d]
-			jm += mModN
-			if jm >= n {
-				jm -= n
-			}
-			jb++
-			if jb == b {
-				jb = 0
-				srMod++
-				dm++
-				if srMod == m {
-					srMod = 0
-					dm = 0
-				} else if dm == n {
-					dm = 0
-				}
-			}
 		}
 		copy(row, tmp[:n])
 	}

@@ -66,11 +66,14 @@ func TileWidth(m, n, elemSize, blockW int) int {
 // m×n plan of elemSize-byte elements run by workers workers with tile
 // width w (see TileWidth). The row passes share out the m rows, so at
 // most min(workers, m) workers hold the row shuffle's n-element
-// permute-through buffer; any worker may hold a column pass's m·w
-// tile, in the same buffer, and the tile's w-entry rotation-amount
-// array. With r = min(workers, m) the figure is
+// permute-through buffer and, when the plan's row shuffle gathers
+// through a stride table (a, b > 1; see rowshuffle.go), its 2b int32
+// entries; any worker may hold a column pass's m·w tile, in the same
+// buffer, and the tile's w-entry rotation-amount array. With
+// r = min(workers, m) and T = 8b bytes for a table plan, else 0, the
+// figure is
 //
-//	r·max(n, m·w)·elemSize + (workers − r)·m·w·elemSize + workers·w·8.
+//	r·(max(n, m·w)·elemSize + T) + (workers − r)·m·w·elemSize + workers·w·8.
 //
 // It bounds the Scatter, Gather and CacheAware variants; PlanScratchBytes
 // adds the Skinny variant's band snapshots. It saturates at math.MaxInt,
@@ -79,8 +82,9 @@ func ScratchBytes(m, n, elemSize, workers, w int) int {
 	workers = max(workers, 1)
 	r := min(workers, max(m, 1))
 	tile := satMul(m, w)
-	elems := satAdd(satMul(r, max(n, tile)), satMul(workers-r, tile))
-	return satAdd(satMul(elems, elemSize), satMul(satMul(workers, w), intBytes))
+	rowBytes := satAdd(satMul(max(n, tile), elemSize), rowTableBytes(m, n))
+	b := satAdd(satMul(r, rowBytes), satMul(satMul(workers-r, tile), elemSize))
+	return satAdd(b, satMul(satMul(workers, w), intBytes))
 }
 
 // PlanScratchBytes is the scratch one execution of the engine for plan p

@@ -76,6 +76,12 @@ func (p *Plan) DivM() mathutil.Divider { return p.divM }
 // DivN returns the strength-reduced divider for the column count n.
 func (p *Plan) DivN() mathutil.Divider { return p.divN }
 
+// DivB returns the strength-reduced divider for b = n/c.
+func (p *Plan) DivB() mathutil.Divider { return p.divB }
+
+// DivC returns the strength-reduced divider for c = gcd(m, n).
+func (p *Plan) DivC() mathutil.Divider { return p.divC }
+
 // String summarizes the plan constants.
 func (p *Plan) String() string {
 	return fmt.Sprintf("Plan(%dx%d c=%d a=%d b=%d)", p.M, p.N, p.C, p.A, p.B)

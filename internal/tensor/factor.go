@@ -17,7 +17,6 @@ package tensor
 import (
 	"math"
 
-	"inplace/internal/core"
 	"inplace/internal/mathutil"
 )
 
@@ -119,21 +118,18 @@ func Cost(steps []Step) float64 {
 
 // ScratchFloor returns the factored plan's auxiliary-space floor in
 // bytes: the per-execution scratch of its worst step (the factored
-// executor runs one pass at a time), by core.ScratchBytes for the plan
-// each step gets under the direction heuristic — the shorter side as
-// the plan's m — with tile width blockW (0 derives it). A single-slab
-// step runs on workers workers; a batched one runs single-worker slab
+// executor runs one pass at a time). planBytes(i) is the scratch one
+// execution of step i's resolved 2D plan holds. A single-slab step runs
+// that plan on its own workers; a batched one runs single-worker slab
 // plans, each with its own scratch, at most workers of them at once.
 // The floor saturates at math.MaxInt.
-func ScratchFloor(steps []Step, elemSize, workers, blockW int) int {
+func ScratchFloor(steps []Step, workers int, planBytes func(i int) int) int {
 	floor := 0
-	for _, st := range steps {
-		m, n := min(st.Rows, st.Cols), max(st.Rows, st.Cols)
-		w := core.TileWidth(m, n, elemSize, blockW)
-		b := core.ScratchBytes(m, n, elemSize, workers, w)
+	for i, st := range steps {
+		b := planBytes(i)
 		if st.Slabs > 1 {
 			var ok bool
-			if b, ok = mathutil.CheckedMul(min(workers, st.Slabs), core.ScratchBytes(m, n, elemSize, 1, w)); !ok {
+			if b, ok = mathutil.CheckedMul(min(workers, st.Slabs), b); !ok {
 				b = math.MaxInt
 			}
 		}

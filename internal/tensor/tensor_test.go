@@ -241,6 +241,20 @@ func TestInverseComposition(t *testing.T) {
 	}
 }
 
+// heuristicBytes prices step i of steps the way the planner resolves it
+// without wisdom: the shorter side as the plan's m, the derived tile
+// width, and a single worker per slab plan of a batched step.
+func heuristicBytes(steps []Step, elemSize, workers int) func(i int) int {
+	return func(i int) int {
+		st := steps[i]
+		m, n := min(st.Rows, st.Cols), max(st.Rows, st.Cols)
+		if st.Slabs > 1 {
+			workers = 1
+		}
+		return core.ScratchBytes(m, n, elemSize, workers, core.TileWidth(m, n, elemSize, 0))
+	}
+}
+
 func TestCostAndFloor(t *testing.T) {
 	one := []Step{{Slabs: 8, Rows: 1024, Cols: 16}}
 	two := []Step{{Slabs: 1, Rows: 64, Cols: 2048}, {Slabs: 16, Rows: 64, Cols: 128}}
@@ -250,25 +264,30 @@ func TestCostAndFloor(t *testing.T) {
 	// one: a 16×1024 plan of 8-byte elements tiles 64 columns wide, so
 	// each worker holds max(1024, 16·64) elements plus 64 amounts.
 	perWorker := 1024*8 + 64*8
-	if got := ScratchFloor(one, 8, 2, 0); got != 2*perWorker {
+	if got := ScratchFloor(one, 2, heuristicBytes(one, 8, 2)); got != 2*perWorker {
 		t.Errorf("ScratchFloor = %d, want %d", got, 2*perWorker)
 	}
 	// Batched slabs run single-worker plans, at most one per slab.
-	if got := ScratchFloor(one, 8, 16, 0); got != 8*perWorker {
+	if got := ScratchFloor(one, 16, heuristicBytes(one, 8, 16)); got != 8*perWorker {
 		t.Errorf("ScratchFloor(16 workers, 8 slabs) = %d, want %d", got, 8*perWorker)
 	}
 	// The floor is the worst step's, by the engine's own figure.
 	want := core.ScratchBytes(64, 2048, 8, 4, core.TileWidth(64, 2048, 8, 0))
-	if got := ScratchFloor(two, 8, 4, 0); got != want {
+	if got := ScratchFloor(two, 4, heuristicBytes(two, 8, 4)); got != want {
 		t.Errorf("ScratchFloor(two) = %d, want %d", got, want)
 	}
 	// More slabs at once than rows: each slab plan holds its own
 	// max(n, m·W)-element buffer.
 	skinny := []Step{{Slabs: 8, Rows: 4, Cols: 100000}}
-	if got, want := ScratchFloor(skinny, 8, 8, 0), 8*core.ScratchBytes(4, 100000, 8, 1, core.TileWidth(4, 100000, 8, 0)); got != want {
+	if got, want := ScratchFloor(skinny, 8, heuristicBytes(skinny, 8, 8)), 8*core.ScratchBytes(4, 100000, 8, 1, core.TileWidth(4, 100000, 8, 0)); got != want {
 		t.Errorf("ScratchFloor(8 slabs of 4x100000, 8 workers) = %d, want %d", got, want)
 	}
-	if got := ScratchFloor(nil, 8, 2, 0); got != 0 {
+	// Saturation: a batched step whose slab plans overflow together.
+	huge := []Step{{Slabs: 1 << 40, Rows: 2, Cols: 2}}
+	if got := ScratchFloor(huge, 1<<40, func(int) int { return 1 << 40 }); got != math.MaxInt {
+		t.Errorf("ScratchFloor(overflowing slabs) = %d, want MaxInt", got)
+	}
+	if got := ScratchFloor(nil, 2, nil); got != 0 {
 		t.Errorf("ScratchFloor(nil) = %d, want 0", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 
+	"inplace/internal/core"
 	"inplace/internal/mathutil"
 	"inplace/internal/parallel"
 	"inplace/internal/stats"
@@ -109,10 +110,22 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 		return nil // the cycle walk needs no scratch
 	}
 	// A strategy whose scratch floor exceeds the caller's bound is not a
-	// candidate (the reversal-method regime), whoever proposes it.
-	fits := func(strategy string, workers int) bool {
-		return o.MaxScratchBytes <= 0 || elemSize <= 0 ||
-			tensor.ScratchFloor(factored(strategy), elemSize, parallel.Workers(workers), o.BlockWidth) <= o.MaxScratchBytes
+	// candidate (the reversal-method regime), whoever proposes it. The
+	// floor prices each step's 2D plan as it resolves, 2D wisdom
+	// included.
+	fits := func(strategy string, workers int) (bool, error) {
+		if o.MaxScratchBytes <= 0 || elemSize <= 0 {
+			return true, nil
+		}
+		steps := factored(strategy)
+		pss, err := planSteps(steps, o, workers, elemSize)
+		if err != nil {
+			return false, err
+		}
+		floor := tensor.ScratchFloor(steps, parallel.Workers(workers), func(i int) int {
+			return core.PlanScratchBytes(pss[i].plan.plan, pss[i].plan.opts, elemSize)
+		})
+		return floor <= o.MaxScratchBytes, nil
 	}
 
 	strategy := forced
@@ -128,14 +141,27 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 		}
 		// Explicit options win over wisdom: a decision over the
 		// MaxScratchBytes bound is ignored.
-		if ok && fits(d.Variant, workers) {
-			strategy, o.Workers = d.Variant, workers
+		if ok {
+			fit, err := fits(d.Variant, workers)
+			if err != nil {
+				return nil, err
+			}
+			if fit {
+				strategy, o.Workers = d.Variant, workers
+			}
 		}
 	}
 	pp.workers = o.Workers
 
 	if strategy == "" {
-		gFit, iFit := fits(tensor.StrategyGreedy, o.Workers), fits(tensor.StrategyInverse, o.Workers)
+		gFit, err := fits(tensor.StrategyGreedy, o.Workers)
+		if err != nil {
+			return nil, err
+		}
+		iFit, err := fits(tensor.StrategyInverse, o.Workers)
+		if err != nil {
+			return nil, err
+		}
 		switch {
 		case gFit && iFit:
 			if tensor.Cost(inverse) < tensor.Cost(greedy) {
@@ -161,29 +187,39 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	if steps == nil {
 		return nil, fmt.Errorf("%w %q", ErrUnknownMethod, strategy)
 	}
+	if pp.steps, err = planSteps(steps, o, o.Workers, elemSize); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
 
-	pp.steps = make([]permStep, len(steps))
+// planSteps resolves the 2D plan of every factored step on a workers
+// budget, the way the executor runs it: a batched step transposes each
+// slab single-threaded, since the slab dimension provides the
+// parallelism and pool dispatches never nest (the TransposeBatch
+// discipline), and each step consults 2D wisdom for its own shape.
+func planSteps(steps []tensor.Step, o Options, workers, elemSize int) ([]permStep, error) {
+	pss := make([]permStep, len(steps))
 	for i, st := range steps {
 		stepO := o
+		stepO.Workers = workers
 		stepO.MaxScratchBytes = 0
 		if st.Slabs > 1 {
-			// The slab dimension provides the parallelism; each slab
-			// transposes single-threaded so pool dispatches never nest
-			// (the TransposeBatch discipline).
 			stepO.Workers = 1
 		}
 		if stepO.Tuning == WisdomRequired {
-			// The perm-level wisdom requirement was checked above; the
-			// factored 2D shapes consult 2D wisdom opportunistically.
+			// The perm-level wisdom requirement was checked by the
+			// caller; the factored 2D shapes consult 2D wisdom
+			// opportunistically.
 			stepO.Tuning = WisdomAuto
 		}
 		p2, err := newPlanElem(st.Rows, st.Cols, stepO, elemSize)
 		if err != nil {
 			return nil, err
 		}
-		pp.steps[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
+		pss[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
 	}
-	return pp, nil
+	return pss, nil
 }
 
 // NewPermutePlan validates and factors a permutation plan without

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"inplace/internal/core"
 	"inplace/internal/tune"
 )
 
@@ -274,6 +275,50 @@ func TestPermuteAxesScratchBudget(t *testing.T) {
 	size := 6 * 50 * 4
 	data := fillSeq(size)
 	want := naivePermute(fillSeq(size), dims, perm)
+	if err := pl.Execute(data); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if data[i] != want[i] {
+			t.Fatalf("cycle strategy wrong at %d", i)
+		}
+	}
+}
+
+// The scratch bound prices each factored step's 2D plan as it resolves:
+// a 2D wisdom entry for the step shape that flips its direction and
+// widens its tile raises the step's scratch past MaxScratchBytes, which
+// must rule the factored strategies out.
+func TestPermuteScratchBudgetFollowsStepWisdom(t *testing.T) {
+	ClearWisdom()
+	defer ClearWisdom()
+	dims, perm := []int{16, 1024}, []int{1, 0} // one 16×1024 step
+	o := Options{Workers: 1, MaxScratchBytes: 8192}
+	pl, err := NewPermutePlanner[uint32](dims, perm, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pl.Plan().Strategy(); s == "cycle" {
+		t.Fatalf("heuristic step plan (%d bytes) should fit %d bytes, got %q", core.ScratchBytes(16, 1024, 4, 1, 64), o.MaxScratchBytes, s)
+	}
+	storeWisdom(wisdomKey(tune.Key{Kind: tune.KindTranspose, Rows: 16, Cols: 1024, ElemSize: 4}, 1),
+		tune.Decision{Variant: "cache-aware", C2R: false, Workers: 1, BlockW: 16})
+	stepBytes, err := ScratchBytes(16, 1024, 4, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepBytes <= o.MaxScratchBytes {
+		t.Fatalf("tuned step plan holds %d bytes, want more than %d", stepBytes, o.MaxScratchBytes)
+	}
+	pl, err = NewPermutePlanner[uint32](dims, perm, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := pl.Plan().Strategy(); s != "cycle" {
+		t.Fatalf("strategy with the tuned step over the bound = %q, want cycle", s)
+	}
+	data := fillSeq(16 * 1024)
+	want := naivePermute(fillSeq(16*1024), dims, perm)
 	if err := pl.Execute(data); err != nil {
 		t.Fatal(err)
 	}
