@@ -136,18 +136,37 @@ ooc-smoke:
 	$(GO) run ./cmd/xposeooc -selftest -budget 64k
 	$(GO) test -race -run 'TestTransposeFile|TestResumeAfterKill' . ./internal/ooc
 
-# perm-smoke round-trips a small NHWC tensor file through xpose
-# -dims/-perm: NHWC -> NCHW, then the inverse permutation, and the
-# result must be byte-identical to the original.
+# perm-smoke round-trips small raw files through xpose and requires
+# each result to be byte-identical to the original (and each forward
+# step to have changed it): an NHWC tensor through -dims/-perm (NHWC ->
+# NCHW, then the inverse permutation), a 24x17 matrix of 2-byte
+# elements through -rows/-cols and back, and 1000 AoS records of 6
+# 4-byte fields to SoA (-rows 1000 -cols 6) and back (-rows 6 -cols
+# 1000).
 perm-smoke:
 	mkdir -p results
 	$(GO) build -o results/xpose.bin ./cmd/xpose
 	head -c 4096 /dev/urandom > results/perm-smoke.bin
 	cp results/perm-smoke.bin results/perm-smoke.orig
 	./results/xpose.bin -dims 2x8x8x4 -perm 0,3,1,2 -elem 8 results/perm-smoke.bin
+	! cmp -s results/perm-smoke.bin results/perm-smoke.orig
 	./results/xpose.bin -dims 2x4x8x8 -perm 0,2,3,1 -elem 8 results/perm-smoke.bin
 	cmp results/perm-smoke.bin results/perm-smoke.orig
 	@echo "perm-smoke: NHWC<->NCHW round trip byte-identical"
+	head -c 816 /dev/urandom > results/xpose-smoke.bin
+	cp results/xpose-smoke.bin results/xpose-smoke.orig
+	./results/xpose.bin -rows 24 -cols 17 -elem 2 results/xpose-smoke.bin
+	! cmp -s results/xpose-smoke.bin results/xpose-smoke.orig
+	./results/xpose.bin -rows 17 -cols 24 -elem 2 results/xpose-smoke.bin
+	cmp results/xpose-smoke.bin results/xpose-smoke.orig
+	@echo "perm-smoke: 24x17 2-byte transpose round trip byte-identical"
+	head -c 24000 /dev/urandom > results/aos-smoke.bin
+	cp results/aos-smoke.bin results/aos-smoke.orig
+	./results/xpose.bin -rows 1000 -cols 6 -elem 4 results/aos-smoke.bin
+	! cmp -s results/aos-smoke.bin results/aos-smoke.orig
+	./results/xpose.bin -rows 6 -cols 1000 -elem 4 results/aos-smoke.bin
+	cmp results/aos-smoke.bin results/aos-smoke.orig
+	@echo "perm-smoke: AoS->SoA->AoS round trip byte-identical"
 
 # store-smoke runs the columnar tile store's acceptance demo: a
 # projection must read strictly fewer backend bytes than a full scan,

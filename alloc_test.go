@@ -5,7 +5,9 @@
 package inplace_test
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"inplace"
 )
@@ -26,13 +28,21 @@ func requireZeroAllocs(t *testing.T, rows, cols int, o inplace.Options) {
 	for i := range data {
 		data[i] = int64(i)
 	}
+	requireZeroAllocsWarm(t, fmt.Sprintf("Planner.Execute(%dx%d, %+v)", rows, cols, o), func() error {
+		return pl.Execute(data)
+	})
+}
+
+// requireZeroAllocsWarm fails when the warm body allocates.
+func requireZeroAllocsWarm(t *testing.T, what string, body func() error) {
+	t.Helper()
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := pl.Execute(data); err != nil {
+		if err := body(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Planner.Execute(%dx%d, %+v) allocates %.1f times per run, want 0", rows, cols, o, allocs)
+		t.Errorf("%s allocates %.1f times per run, want 0", what, allocs)
 	}
 }
 
@@ -87,14 +97,7 @@ func TestPermuteExecuteZeroAllocRank2(t *testing.T) {
 	for i := range data {
 		data[i] = int64(i)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := pl.Execute(data); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("PermutePlanner.Execute(512x384, [1,0]) allocates %.1f times per run, want 0", allocs)
-	}
+	requireZeroAllocsWarm(t, "PermutePlanner.Execute(512x384, [1,0])", func() error { return pl.Execute(data) })
 }
 
 func TestExecuteZeroAllocTuned(t *testing.T) {
@@ -110,5 +113,54 @@ func TestExecuteZeroAllocTuned(t *testing.T) {
 		}
 		requireZeroAllocs(t, sh.rows, sh.cols, inplace.Options{Workers: 1})
 		requireZeroAllocs(t, sh.rows, sh.cols, inplace.Options{Workers: 1, Tuning: inplace.WisdomRequired})
+	}
+}
+
+// The cached and batched entry points share one plan cache and one slab
+// loop, which loops inline on one worker: warm, none of them allocates.
+// The NHWC↔NCHW shapes run a multi-slab step.
+
+func TestPermuteAxesCachedZeroAlloc(t *testing.T) {
+	o := inplace.Options{Workers: 1}
+	nhwc, nchw := []int{2, 8, 8, 4}, []int{2, 4, 8, 8}
+	toNCHW, toNHWC := []int{0, 3, 1, 2}, []int{0, 2, 3, 1}
+	data := make([]uint64, 2*8*8*4)
+	requireZeroAllocsWarm(t, "cached PermuteAxes NHWC<->NCHW", func() error {
+		if err := inplace.PermuteAxes(data, nhwc, toNCHW, o); err != nil {
+			return err
+		}
+		return inplace.PermuteAxes(data, nchw, toNHWC, o)
+	})
+}
+
+func TestPermuteExecuteZeroAllocMultiSlab(t *testing.T) {
+	pl, err := inplace.NewPermutePlanner[uint64]([]int{2, 8, 8, 4}, []int{0, 3, 1, 2}, inplace.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Plan().Passes() == 0 {
+		t.Fatalf("plan %v has no factored pass", pl.Plan())
+	}
+	data := make([]uint64, 2*8*8*4)
+	requireZeroAllocsWarm(t, "multi-slab PermutePlanner.Execute", func() error { return pl.Execute(data) })
+}
+
+func TestTransposeBatchZeroAlloc(t *testing.T) {
+	data := make([]uint64, 16*24*16)
+	requireZeroAllocsWarm(t, "TransposeBatch 16 of 24x16", func() error {
+		return inplace.TransposeBatch(data, 16, 24, 16, inplace.Options{Workers: 1})
+	})
+}
+
+func TestTransposeElemZeroAlloc(t *testing.T) {
+	// Backed by a []uint64, so the bytes are aligned for every width.
+	words := make([]uint64, 48*64)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
+	o := inplace.Options{Workers: 1}
+	for _, elem := range []int{1, 2, 4, 8} {
+		rows := len(raw) / elem / 64
+		requireZeroAllocsWarm(t, fmt.Sprintf("TransposeElem %dx64 of %d-byte elements", rows, elem), func() error {
+			return inplace.TransposeElem(raw, rows, 64, elem, o)
+		})
 	}
 }

@@ -17,10 +17,7 @@ package inplace
 //
 //xpose:hotpath
 func aosArgs[T any](data []T, count, fields int, opts []Options) (Options, error) {
-	o := Options{}
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+	o := optionsOf(opts)
 	size, err := checkShape(count, fields)
 	if err != nil {
 		return o, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"inplace/internal/mathutil"
-	"inplace/internal/parallel"
 )
 
 // TransposeBatch transposes `count` equally-shaped rows×cols matrices
@@ -23,10 +22,7 @@ import (
 // Matrices small enough that parallelizing their internal passes would
 // only add synchronization run sequentially within one worker.
 func TransposeBatch[T any](data []T, count, rows, cols int, opts ...Options) error {
-	o := Options{}
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+	o := optionsOf(opts)
 	if count <= 0 {
 		return fmt.Errorf("%w (got count=%d)", ErrShape, count)
 	}
@@ -40,29 +36,14 @@ func TransposeBatch[T any](data []T, count, rows, cols int, opts ...Options) err
 		return err
 	}
 	// plannerFor has already proven rows*cols fits in int; the batch
-	// length count*stride needs its own overflow guard.
-	stride := pl.p.size
-	total, ok := mathutil.CheckedMul(count, stride)
+	// length count*rows*cols needs its own overflow guard.
+	total, ok := mathutil.CheckedMul(count, pl.p.size)
 	if !ok {
 		return fmt.Errorf("%w (got count=%d of %dx%d)", ErrOverflow, count, rows, cols)
 	}
 	if len(data) != total {
 		return lengthErr(len(data), total)
 	}
-	workers := parallel.Workers(o.Workers)
-	run := func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// Execute only fails on a length mismatch, which the
-			// batch-level check above has already excluded.
-			if err := pl.Execute(data[k*stride : (k+1)*stride]); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if workers > 1 {
-		parallel.Shared().For(count, o.Workers, run)
-	} else {
-		parallel.For(count, o.Workers, run)
-	}
+	forSlabs(pl, data, count, o.Workers)
 	return nil
 }

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -112,21 +111,11 @@ func main() {
 	}
 
 	path := flag.Arg(0)
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	raw := readTensor(path, tensor.Shape{*rows, *cols}, *elem)
+	if err := inplace.TransposeElem(raw, *rows, *cols, *elem, o); err != nil {
 		fatal(err)
 	}
-	want := *rows * *cols * *elem
-	if len(raw) != want {
-		fatal(fmt.Errorf("%s holds %d bytes, want %d (%dx%dx%dB)", path, len(raw), want, *rows, *cols, *elem))
-	}
-
-	if err := transposeBytes(raw, *rows, *cols, *elem, o); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatal(err)
-	}
+	writeTensor(path, raw)
 	fmt.Printf("transposed %s: %dx%d -> %dx%d (%d-byte elements)\n", path, *rows, *cols, *cols, *rows, *elem)
 }
 
@@ -153,115 +142,40 @@ func runPermute(dimsSpec, permSpec string, elem int, o inplace.Options, tuneFirs
 			}
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	raw := readTensor(path, s, elem)
+	if err := inplace.PermuteAxesElem(raw, s, p, elem, o); err != nil {
 		fatal(err)
 	}
-	want, ok := mathutil.CheckedMul(s.Size(), elem)
-	if !ok {
-		fatal(fmt.Errorf("tensor %s with %d-byte elements overflows int", s, elem))
-	}
-	if len(raw) != want {
-		fatal(fmt.Errorf("%s holds %d bytes, want %d (%sx%dB)", path, len(raw), want, s, elem))
-	}
-	if err := permuteBytes(raw, s, p, elem, o); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fatal(err)
-	}
+	writeTensor(path, raw)
 	fmt.Printf("permuted %s: %s perm %s -> %s (%d-byte elements)\n",
 		path, s, p, tensor.Permuted(s, p), elem)
 }
 
-// permuteBytes views the raw buffer as typed elements and permutes.
-func permuteBytes(raw []byte, s tensor.Shape, p tensor.Perm, elem int, o inplace.Options) error {
-	n := s.Size()
-	switch elem {
-	case 1:
-		return inplace.PermuteAxes(raw, s, p, o)
-	case 2:
-		v := make([]uint16, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint16(raw[2*i:])
-		}
-		if err := inplace.PermuteAxes(v, s, p, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint16(raw[2*i:], x)
-		}
-	case 4:
-		v := make([]uint32, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-		if err := inplace.PermuteAxes(v, s, p, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(raw[4*i:], x)
-		}
-	case 8:
-		v := make([]uint64, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
-		if err := inplace.PermuteAxes(v, s, p, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(raw[8*i:], x)
-		}
-	default:
-		return fmt.Errorf("unsupported element size %d", elem)
+// readTensor reads the file at path, which must hold the elements of a
+// tensor of shape s, elem bytes each.
+func readTensor(path string, s tensor.Shape, elem int) []byte {
+	n, err := s.Validate()
+	if err != nil {
+		fatal(err)
 	}
-	return nil
+	want, ok := mathutil.CheckedMul(n, elem)
+	if !ok {
+		fatal(fmt.Errorf("tensor %s with %d-byte elements overflows int", s, elem))
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	if len(raw) != want {
+		fatal(fmt.Errorf("%s holds %d bytes, want %d (%sx%dB)", path, len(raw), want, s, elem))
+	}
+	return raw
 }
 
-// transposeBytes views the raw buffer as typed elements and transposes.
-func transposeBytes(raw []byte, rows, cols, elem int, o inplace.Options) error {
-	n := rows * cols
-	switch elem {
-	case 1:
-		return inplace.TransposeWith(raw, rows, cols, o)
-	case 2:
-		v := make([]uint16, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint16(raw[2*i:])
-		}
-		if err := inplace.TransposeWith(v, rows, cols, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint16(raw[2*i:], x)
-		}
-	case 4:
-		v := make([]uint32, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-		if err := inplace.TransposeWith(v, rows, cols, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(raw[4*i:], x)
-		}
-	case 8:
-		v := make([]uint64, n)
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
-		if err := inplace.TransposeWith(v, rows, cols, o); err != nil {
-			return err
-		}
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(raw[8*i:], x)
-		}
-	default:
-		return fmt.Errorf("unsupported element size %d", elem)
+func writeTensor(path string, raw []byte) {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		fatal(err)
 	}
-	return nil
 }
 
 func runDemo(name string) {

@@ -23,12 +23,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 
 	"inplace"
+	"inplace/internal/mathutil"
 )
 
 func main() {
@@ -89,9 +91,13 @@ func main() {
 		fatal(err)
 	}
 	defer f.Close()
+	want, err := fileSize(*rows, *cols, *elem)
+	if err != nil {
+		fatal(err)
+	}
 	if fi, err := f.Stat(); err != nil {
 		fatal(err)
-	} else if want := int64(*rows) * int64(*cols) * int64(*elem); fi.Size() != want {
+	} else if fi.Size() != want {
 		fatal(fmt.Errorf("%s holds %d bytes, want %d (%dx%dx%dB)", path, fi.Size(), want, *rows, *cols, *elem))
 	}
 
@@ -184,9 +190,10 @@ func runSelftest(budget int64) {
 		rows, cols, elem, budget, st.PeakResidentBytes, st.SegmentsTransformed)
 }
 
-// parseSize parses a byte size with optional k/m/g suffix.
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
+// parseSize parses a byte size with optional k/m/g suffix, rejecting
+// negative sizes and sizes that overflow int64.
+func parseSize(spec string) (int64, error) {
+	s := strings.ToLower(strings.TrimSpace(spec))
 	mul := int64(1)
 	switch {
 	case strings.HasSuffix(s, "k"):
@@ -198,9 +205,26 @@ func parseSize(s string) (int64, error) {
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
+		return 0, fmt.Errorf("bad size %q: %v", spec, err)
+	}
+	if n < 0 || n > math.MaxInt64/mul {
+		return 0, fmt.Errorf("bad size %q: want 0 to %d bytes", spec, int64(math.MaxInt64))
 	}
 	return n * mul, nil
+}
+
+// fileSize returns the byte size of a rows×cols matrix of elem-byte
+// elements, or an error when the product overflows int, as the engine
+// requires of it.
+func fileSize(rows, cols, elem int) (int64, error) {
+	n, ok := mathutil.CheckedMul(rows, cols)
+	if ok {
+		n, ok = mathutil.CheckedMul(n, elem)
+	}
+	if !ok {
+		return 0, fmt.Errorf("%dx%d matrix of %d-byte elements has no representable size", rows, cols, elem)
+	}
+	return int64(n), nil
 }
 
 func fatal(err error) {

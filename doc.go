@@ -40,9 +40,15 @@
 // AoS↔SoA shapes, where building the row-permutation cycles is O(rows)
 // time and memory — comparable to the transpose itself. For one-off
 // large transposes the planning cost is negligible and Transpose is
-// fine; it (and TransposeWith, TransposeBatch) transparently caches
-// planners per (shape, options, element type), so even ad-hoc repeated
-// calls hit the amortized path.
+// fine; it (and TransposeWith, TransposeBatch, PermuteAxes, the AoS
+// conversions and the raw-byte *Elem functions) transparently caches
+// planners per (shape, options, element type) in one FIFO cache, so
+// even ad-hoc repeated calls hit the amortized path.
+//
+// TransposeElem, TransposeBatchElem and PermuteAxesElem serve callers
+// that hold raw bytes of a known element width (1, 2, 4 or 8) but no
+// element type: a transpose moves whole records, so the bytes move as
+// words of that width, in place when the buffer is aligned for them.
 //
 // The lower-level NewPlan/Do API remains for callers that only need the
 // untyped shape resolution:

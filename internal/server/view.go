@@ -1,35 +1,16 @@
 package server
 
 import (
-	"encoding/binary"
-	"unsafe"
+	"errors"
 
 	"inplace"
 	"inplace/internal/mathutil"
 )
 
-// The data plane receives matrices as raw bytes but the in-memory
-// engine is typed. When the payload buffer is naturally aligned for the
-// element width — always true for buffers this package allocates — the
-// bytes are reinterpreted in place (zero copy, zero allocation); a
-// misaligned buffer falls back to a cold copy through a typed scratch
-// slice. Either way the result bytes are identical: the transpose
-// permutes opaque fixed-size records, so the load/store byte order
-// cancels out.
-
-// view reinterprets raw as a []T when the base pointer is aligned for T
-// and the length divides evenly.
-func view[T any](raw []byte) ([]T, bool) {
-	var t T
-	sz := int(unsafe.Sizeof(t))
-	if len(raw) == 0 || len(raw)%sz != 0 {
-		return nil, false
-	}
-	if uintptr(unsafe.Pointer(&raw[0]))%uintptr(unsafe.Alignof(t)) != 0 {
-		return nil, false
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), len(raw)/sz), true
-}
+// The data plane receives matrices as raw bytes; the root package's
+// raw-byte entry points view an aligned payload as words of its element
+// width in place (always true for buffers this package allocates) and
+// copy a misaligned one through an aligned buffer.
 
 // transposeMem transposes the row-major rows×cols matrix of elem-byte
 // elements held in raw, in place, through the process planner cache
@@ -38,27 +19,7 @@ func transposeMem(raw []byte, rows, cols, elem int) error {
 	if err := checkGeom(raw, 1, rows, cols, elem); err != nil {
 		return err
 	}
-	switch elem {
-	case 1:
-		return inplace.Transpose(raw, rows, cols)
-	case 2:
-		if v, ok := view[uint16](raw); ok {
-			return inplace.Transpose(v, rows, cols)
-		}
-		return copyTranspose[uint16](raw, 1, rows, cols)
-	case 4:
-		if v, ok := view[uint32](raw); ok {
-			return inplace.Transpose(v, rows, cols)
-		}
-		return copyTranspose[uint32](raw, 1, rows, cols)
-	case 8:
-		if v, ok := view[uint64](raw); ok {
-			return inplace.Transpose(v, rows, cols)
-		}
-		return copyTranspose[uint64](raw, 1, rows, cols)
-	default:
-		return errBadElem
-	}
+	return elemErr(inplace.TransposeElem(raw, rows, cols, elem))
 }
 
 // transposeBatchMem transposes count back-to-back rows×cols matrices
@@ -67,27 +28,16 @@ func transposeBatchMem(raw []byte, count, rows, cols, elem int) error {
 	if err := checkGeom(raw, count, rows, cols, elem); err != nil {
 		return err
 	}
-	switch elem {
-	case 1:
-		return inplace.TransposeBatch(raw, count, rows, cols)
-	case 2:
-		if v, ok := view[uint16](raw); ok {
-			return inplace.TransposeBatch(v, count, rows, cols)
-		}
-		return copyTranspose[uint16](raw, count, rows, cols)
-	case 4:
-		if v, ok := view[uint32](raw); ok {
-			return inplace.TransposeBatch(v, count, rows, cols)
-		}
-		return copyTranspose[uint32](raw, count, rows, cols)
-	case 8:
-		if v, ok := view[uint64](raw); ok {
-			return inplace.TransposeBatch(v, count, rows, cols)
-		}
-		return copyTranspose[uint64](raw, count, rows, cols)
-	default:
+	return elemErr(inplace.TransposeBatchElem(raw, count, rows, cols, elem))
+}
+
+// elemErr reports an element width the engine does not move as
+// errBadElem, which the wire layer answers with CodeBadShape.
+func elemErr(err error) error {
+	if errors.Is(err, inplace.ErrElemSize) {
 		return errBadElem
 	}
+	return err
 }
 
 // checkGeom proves count*rows*cols*elem matches the payload without
@@ -109,67 +59,4 @@ func checkGeom(raw []byte, count, rows, cols, elem int) error {
 		return errBadElem
 	}
 	return nil
-}
-
-// copyTranspose is the cold misaligned-buffer fallback: decode into a
-// typed scratch slice, transpose (batched when count > 1), re-encode.
-func copyTranspose[T uint16 | uint32 | uint64](raw []byte, count, rows, cols int) error {
-	var t T
-	sz := int(unsafe.Sizeof(t))
-	// checkGeom has already proven len(raw) = count*rows*cols*sz.
-	n := len(raw) / sz
-	v := make([]T, n)
-	decodeElems(v, raw)
-	var err error
-	if count > 1 {
-		err = inplace.TransposeBatch(v, count, rows, cols)
-	} else {
-		err = inplace.Transpose(v, rows, cols)
-	}
-	if err != nil {
-		return err
-	}
-	encodeElems(raw, v)
-	return nil
-}
-
-// decodeElems loads raw into v, element by element. Cold: only the
-// misaligned-buffer fallback comes through here, so it is deliberately
-// not a //xpose:hotpath region.
-func decodeElems[T uint16 | uint32 | uint64](v []T, raw []byte) {
-	var t T
-	switch unsafe.Sizeof(t) {
-	case 2:
-		for i := range v {
-			v[i] = T(binary.LittleEndian.Uint16(raw[2*i:]))
-		}
-	case 4:
-		for i := range v {
-			v[i] = T(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-	default:
-		for i := range v {
-			v[i] = T(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-	}
-}
-
-// encodeElems stores v back into raw, element by element. Cold, like
-// decodeElems.
-func encodeElems[T uint16 | uint32 | uint64](raw []byte, v []T) {
-	var t T
-	switch unsafe.Sizeof(t) {
-	case 2:
-		for i := range v {
-			binary.LittleEndian.PutUint16(raw[2*i:], uint16(v[i]))
-		}
-	case 4:
-		for i := range v {
-			binary.LittleEndian.PutUint32(raw[4*i:], uint32(v[i]))
-		}
-	default:
-		for i := range v {
-			binary.LittleEndian.PutUint64(raw[8*i:], uint64(v[i]))
-		}
-	}
 }

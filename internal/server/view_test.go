@@ -2,10 +2,8 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"testing"
-	"unsafe"
 )
 
 // refTranspose computes the expected byte image of transposing a
@@ -64,43 +62,6 @@ func TestTransposeBatchMemMatchesSingles(t *testing.T) {
 	}
 }
 
-// TestCopyTransposeMatchesViewPath pins the misaligned-fallback
-// equivalence claim: the copy path and the view path produce identical
-// bytes for the same input.
-func TestCopyTransposeMatchesViewPath(t *testing.T) {
-	const rows, cols, elem = 9, 13, 4
-	raw := fillPattern(rows * cols * elem)
-	viaView := append([]byte(nil), raw...)
-	if err := transposeMem(viaView, rows, cols, elem); err != nil {
-		t.Fatalf("view path: %v", err)
-	}
-	viaCopy := append([]byte(nil), raw...)
-	if err := copyTranspose[uint32](viaCopy, 1, rows, cols); err != nil {
-		t.Fatalf("copy path: %v", err)
-	}
-	if !bytes.Equal(viaView, viaCopy) {
-		t.Fatal("copy fallback diverges from view path")
-	}
-}
-
-func TestViewAlignment(t *testing.T) {
-	// Build the byte buffer over a []uint64 backing so the base
-	// pointer is 8-aligned by construction (a bare make([]byte, n) can
-	// land anywhere, e.g. on the stack at odd offsets — which is
-	// exactly why view checks).
-	words := make([]uint64, 9)
-	backing := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 72)
-	if _, ok := view[uint64](backing[:64]); !ok {
-		t.Fatal("aligned 64-byte buffer should view as []uint64")
-	}
-	if _, ok := view[uint64](backing[1 : 1+32]); ok {
-		t.Fatal("misaligned buffer must not view as []uint64")
-	}
-	if _, ok := view[uint32](backing[:3]); ok {
-		t.Fatal("length not divisible by element size must not view")
-	}
-}
-
 func TestCheckGeomRejects(t *testing.T) {
 	cases := []struct {
 		name                    string
@@ -123,21 +84,5 @@ func TestCheckGeomRejects(t *testing.T) {
 func TestTransposeMemRejectsBadElem(t *testing.T) {
 	if err := transposeMem(make([]byte, 12), 2, 2, 3); !errors.Is(err, errBadElem) {
 		t.Fatalf("elem 3: err = %v, want errBadElem", err)
-	}
-}
-
-func TestDecodeEncodeRoundTrip(t *testing.T) {
-	raw := fillPattern(24)
-	v := make([]uint32, 6)
-	decodeElems(v, raw)
-	for i := range v {
-		if v[i] != binary.LittleEndian.Uint32(raw[4*i:]) {
-			t.Fatalf("decode[%d] mismatch", i)
-		}
-	}
-	out := make([]byte, 24)
-	encodeElems(out, v)
-	if !bytes.Equal(out, raw) {
-		t.Fatal("encode(decode(x)) != x")
 	}
 }

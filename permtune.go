@@ -100,16 +100,9 @@ func TunePermute[T any](dims, perm []int, cfgs ...TuneConfig) (PermuteTuneResult
 // in bytes but not the type — raw-buffer CLIs like cmd/xposetune.
 // Supported widths are 1, 2, 4 and 8.
 func TunePermuteElem(dims, perm []int, elemSize int, cfgs ...TuneConfig) (PermuteTuneResult, error) {
-	switch elemSize {
-	case 1:
-		return TunePermute[uint8](dims, perm, cfgs...)
-	case 2:
-		return TunePermute[uint16](dims, perm, cfgs...)
-	case 4:
-		return TunePermute[uint32](dims, perm, cfgs...)
-	case 8:
-		return TunePermute[uint64](dims, perm, cfgs...)
-	default:
-		return PermuteTuneResult{}, fmt.Errorf("%w: %d (want 1, 2, 4 or 8)", ErrElemSize, elemSize)
+	w, err := wordsOf(elemSize)
+	if err != nil {
+		return PermuteTuneResult{}, err
 	}
+	return w.tunePermute(dims, perm, cfgs)
 }

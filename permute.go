@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
+	"slices"
 
 	"inplace/internal/core"
 	"inplace/internal/mathutil"
 	"inplace/internal/parallel"
-	"inplace/internal/stats"
 	"inplace/internal/tensor"
 	"inplace/internal/tune"
 )
@@ -47,11 +46,10 @@ type PermutePlan struct {
 }
 
 // permStep is one batched pass: transpose `slabs` back-to-back slabs of
-// `stride` elements each, with the shared 2D plan.
+// the shared 2D plan's shape.
 type permStep struct {
-	slabs  int
-	stride int
-	plan   *Plan
+	slabs int
+	plan  *Plan
 }
 
 // permStrategyNoop names the empty plan of an identity permutation.
@@ -217,7 +215,7 @@ func planSteps(steps []tensor.Step, o Options, workers, elemSize int) ([]permSte
 		if err != nil {
 			return nil, err
 		}
-		pss[i] = permStep{slabs: st.Slabs, stride: st.Rows * st.Cols, plan: p2}
+		pss[i] = permStep{slabs: st.Slabs, plan: p2}
 	}
 	return pss, nil
 }
@@ -338,9 +336,11 @@ func cycleApply[T any](c *cyclePlan, data []T) {
 
 // PermutePlanner binds a PermutePlan to an element type: one engine per
 // factored pass, each owning its schedule and recycled scratch arena.
-// After the first Execute has warmed the arenas, subsequent Executes of
-// single-slab plans (every rank-2 transpose, and every shape whose
-// canonical form needs no slab batching) perform no heap allocation.
+// After the first Execute has warmed the arenas, subsequent Executes
+// perform no heap allocation when the plan runs on one worker, and a
+// single-slab plan (every rank-2 transpose, and every shape whose
+// canonical form needs no slab batching) allocates nothing on any
+// number of workers.
 //
 // A PermutePlanner is safe for concurrent use, like Planner.
 type PermutePlanner[T any] struct {
@@ -355,11 +355,7 @@ type PermutePlanner[T any] struct {
 // table for the strategy (see TunePermute) and for each factored 2D
 // pass, unless MaxScratchBytes rules the recorded strategy out.
 func NewPermutePlanner[T any](dims, perm []int, opts ...Options) (*PermutePlanner[T], error) {
-	o := Options{}
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	pp, err := planPermute(dims, perm, o, int(reflect.TypeFor[T]().Size()), "")
+	pp, err := planPermute(dims, perm, optionsOf(opts), int(reflect.TypeFor[T]().Size()), "")
 	if err != nil {
 		return nil, err
 	}
@@ -388,45 +384,13 @@ func (pl *PermutePlanner[T]) Execute(data []T) error {
 	if len(data) != pp.size {
 		return lengthErr(len(data), pp.size)
 	}
-	if len(pp.steps) == 0 {
-		if pp.cyc != nil {
-			cycleApply(pp.cyc, data)
-		}
-		return nil
+	if pp.cyc != nil {
+		cycleApply(pp.cyc, data)
 	}
-	for i := range pl.pls {
-		if pp.steps[i].slabs == 1 {
-			if err := pl.pls[i].Execute(data); err != nil {
-				return err
-			}
-			continue
-		}
-		pl.executeSlabs(i, data)
+	for i, st := range pp.steps {
+		forSlabs(pl.pls[i], data, st.slabs, pp.workers)
 	}
 	return nil
-}
-
-// executeSlabs runs one multi-slab pass, parallelizing over slabs on the
-// shared pool (each slab's engine is single-worker, so dispatches never
-// nest). Split out of Execute to keep the hot path closure-free.
-func (pl *PermutePlanner[T]) executeSlabs(i int, data []T) {
-	st := pl.pp.steps[i]
-	p := pl.pls[i]
-	stride := st.stride
-	run := func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			// Execute only fails on a length mismatch, which the plan's
-			// slab geometry excludes.
-			if err := p.Execute(data[k*stride : (k+1)*stride]); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if parallel.Workers(pl.pp.workers) > 1 {
-		parallel.Shared().For(st.slabs, pl.pp.workers, run)
-	} else {
-		parallel.For(st.slabs, pl.pp.workers, run)
-	}
 }
 
 // Plan returns the underlying permutation plan.
@@ -444,89 +408,35 @@ func (pl *PermutePlanner[T]) String() string { return pl.pp.String() }
 // PermuteAxes(data, dims, [1,0]) of a rank-2 tensor is exactly
 // Transpose(data, dims[0], dims[1]).
 //
-// Calls route through a process-wide planner cache keyed by dims, perm,
-// options and element type, like TransposeWith; callers wanting explicit
-// control over plan lifetime should hold a PermutePlanner.
+// Calls route through the process-wide planner cache that TransposeWith
+// uses, keyed by dims, perm, options and element type; callers wanting
+// explicit control over plan lifetime should hold a PermutePlanner.
 //
 //xpose:hotpath
 func PermuteAxes[T any](data []T, dims, perm []int, opts ...Options) error {
-	o := Options{}
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	pl, err := permPlannerFor[T](dims, perm, o)
+	o := optionsOf(opts)
+	pl, err := cachedPlanner(plannerKey{perm: permHash(dims, perm), opts: o},
+		func(pl *PermutePlanner[T]) bool {
+			return slices.Equal(pl.pp.dims, dims) && slices.Equal(pl.pp.perm, perm)
+		},
+		func() (*PermutePlanner[T], error) { return NewPermutePlanner[T](dims, perm, o) })
 	if err != nil {
 		return err
 	}
 	return pl.Execute(data)
 }
 
-// permKey identifies one cached permutation planner. Dims and perm enter
-// in their canonical string forms' raw spelling (the exact dims/perm the
-// caller passed), so distinct raw shapes that share a canonical form get
-// distinct planners — their Execute length checks differ.
-type permKey struct {
-	dims, perm string
-	opts       Options
-	typ        reflect.Type
-}
-
-var permCache struct {
-	mu    sync.RWMutex
-	m     map[permKey]any
-	order []permKey
-}
-
-var (
-	permCacheHits      = stats.Default().Counter("perm_cache_hits")
-	permCacheMisses    = stats.Default().Counter("perm_cache_misses")
-	permCacheEvictions = stats.Default().Counter("perm_cache_evictions")
-)
-
-// flushPermCache drops every cached permutation planner; called with the
-// 2D flush whenever the wisdom table mutates.
-func flushPermCache() {
-	permCache.mu.Lock()
-	permCache.m = nil
-	permCache.order = nil
-	permCache.mu.Unlock()
-}
-
-// permPlannerFor returns the cached permutation planner for
-// (dims, perm, o, T), building and inserting it on first use.
-func permPlannerFor[T any](dims, perm []int, o Options) (*PermutePlanner[T], error) {
-	key := permKey{
-		dims: tensor.Shape(dims).String(),
-		perm: tensor.Perm(perm).String(),
-		opts: o,
-		typ:  reflect.TypeFor[T](),
+// permHash mixes raw dims and perm into a permutation's cache key
+// (FNV-1a over the lengths and values). Distinct requests may collide;
+// the cache re-checks both lists on every hit.
+func permHash(dims, perm []int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, xs := range [2][]int{dims, perm} {
+		h = (h ^ uint64(len(xs))) * prime
+		for _, x := range xs {
+			h = (h ^ uint64(x)) * prime
+		}
 	}
-	permCache.mu.RLock()
-	v, ok := permCache.m[key]
-	permCache.mu.RUnlock()
-	if ok {
-		permCacheHits.Inc()
-		return v.(*PermutePlanner[T]), nil
-	}
-	permCacheMisses.Inc()
-	pl, err := NewPermutePlanner[T](dims, perm, o)
-	if err != nil {
-		return nil, err
-	}
-	permCache.mu.Lock()
-	defer permCache.mu.Unlock()
-	if v, ok := permCache.m[key]; ok {
-		return v.(*PermutePlanner[T]), nil
-	}
-	if permCache.m == nil {
-		permCache.m = make(map[permKey]any)
-	}
-	for len(permCache.order) >= plannerCacheCap {
-		delete(permCache.m, permCache.order[0])
-		permCache.order = permCache.order[1:]
-		permCacheEvictions.Inc()
-	}
-	permCache.m[key] = pl
-	permCache.order = append(permCache.order, key)
-	return pl, nil
+	return h
 }

@@ -35,11 +35,7 @@ type Planner[T any] struct {
 // resolves every option left at its zero value to the measured-optimal
 // choice before the static heuristics fill in the rest.
 func NewPlanner[T any](rows, cols int, opts ...Options) (*Planner[T], error) {
-	o := Options{}
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	p, err := newPlanElem(rows, cols, o, int(reflect.TypeFor[T]().Size()))
+	p, err := newPlanElem(rows, cols, optionsOf(opts), int(reflect.TypeFor[T]().Size()))
 	if err != nil {
 		return nil, err
 	}
@@ -65,12 +61,19 @@ func (pl *Planner[T]) Execute(data []T) error {
 	if len(data) != pl.p.size {
 		return lengthErr(len(data), pl.p.size)
 	}
+	pl.run(data)
+	return nil
+}
+
+// run transposes data, whose length the caller has checked.
+//
+//xpose:hotpath
+func (pl *Planner[T]) run(data []T) {
 	if pl.p.useC2R {
 		pl.eng.C2R(data)
 	} else {
 		pl.eng.R2C(data)
 	}
-	return nil
 }
 
 // Plan returns the underlying shape plan.
@@ -87,15 +90,21 @@ func (pl *Planner[T]) String() string { return pl.p.String() }
 
 // --- Keyed planner cache ---
 //
-// Transpose, TransposeWith and TransposeBatch route through a small
-// process-wide cache of planners keyed by shape, options and element
-// type, so ad-hoc callers that transpose the same shape repeatedly get
-// the amortized hot path without managing Planner lifetimes themselves.
+// Transpose, TransposeWith, TransposeBatch, PermuteAxes, the AoS
+// conversions and the raw-byte *Elem functions route through one small
+// process-wide cache of planners keyed by shape, options and planner
+// type, so ad-hoc callers that transpose or permute the same shape
+// repeatedly get the amortized hot path without managing planner
+// lifetimes themselves.
 
-// plannerKey identifies one cached planner. Options is a comparable
-// struct of plain ints, so the whole key is comparable.
+// plannerKey identifies one cached planner: a 2D Planner by its shape,
+// a PermutePlanner by a hash of its raw dims and perm, which a hit
+// re-checks. typ is the planner type, so it names both the kind and
+// the element type; Options is a comparable struct of plain ints, so
+// the whole key is comparable.
 type plannerKey struct {
 	rows, cols int
+	perm       uint64
 	opts       Options
 	typ        reflect.Type
 }
@@ -136,9 +145,11 @@ type CacheStats struct {
 }
 
 // PlannerCacheStats returns a snapshot of the process planner cache
-// counters: how the Transpose/TransposeWith/TransposeBatch fast path is
-// behaving. Counters are cumulative for the process; compute deltas to
-// meter a workload.
+// counters: how the cached fast path of Transpose, TransposeWith,
+// TransposeBatch, PermuteAxes, the AoS conversions and the *Elem
+// functions is behaving. 2D and permutation lookups share the one
+// cache and its counters. Counters are cumulative for the process;
+// compute deltas to meter a workload.
 func PlannerCacheStats() CacheStats {
 	return CacheStats{
 		Hits:      cacheHits.Load(),
@@ -156,31 +167,45 @@ func flushPlannerCache() {
 	plannerCache.m = nil
 	plannerCache.order = nil
 	plannerCache.mu.Unlock()
-	flushPermCache()
 }
 
 // plannerFor returns the cached planner for (rows, cols, o, T),
 // building and inserting it on first use.
 func plannerFor[T any](rows, cols int, o Options) (*Planner[T], error) {
-	key := plannerKey{rows: rows, cols: cols, opts: o, typ: reflect.TypeFor[T]()}
+	return cachedPlanner(plannerKey{rows: rows, cols: cols, opts: o},
+		func(*Planner[T]) bool { return true },
+		func() (*Planner[T], error) { return NewPlanner[T](rows, cols, o) })
+}
+
+// cachedPlanner returns the planner of type P cached under key, or
+// builds one with build and publishes it. same re-checks a cached
+// planner against the request, so a key that only hashes part of it
+// can collide without serving a wrong plan: a planner same rejects is a
+// miss, and the fresh planner takes its place.
+func cachedPlanner[P any](key plannerKey, same func(P) bool, build func() (P, error)) (P, error) {
+	key.typ = reflect.TypeFor[P]()
 	plannerCache.mu.RLock()
-	v, ok := plannerCache.m[key]
+	v := plannerCache.m[key]
 	plannerCache.mu.RUnlock()
-	if ok {
+	if pl, ok := v.(P); ok && same(pl) {
 		cacheHits.Inc()
-		return v.(*Planner[T]), nil
+		return pl, nil
 	}
 	cacheMisses.Inc()
-	pl, err := NewPlanner[T](rows, cols, o)
+	pl, err := build()
 	if err != nil {
-		return nil, err
+		return pl, err
 	}
 	plannerCache.mu.Lock()
 	defer plannerCache.mu.Unlock()
 	if v, ok := plannerCache.m[key]; ok {
-		// Another goroutine built the same planner concurrently; keep
-		// the published one so all callers share its arena.
-		return v.(*Planner[T]), nil
+		if old, ok := v.(P); ok && same(old) {
+			// Another goroutine built the same planner concurrently;
+			// keep the published one so all callers share its arena.
+			return old, nil
+		}
+		plannerCache.m[key] = pl // a collision: the fresh planner takes the slot
+		return pl, nil
 	}
 	if plannerCache.m == nil {
 		plannerCache.m = make(map[plannerKey]any)
@@ -193,4 +218,33 @@ func plannerFor[T any](rows, cols int, o Options) (*Planner[T], error) {
 	plannerCache.m[key] = pl
 	plannerCache.order = append(plannerCache.order, key)
 	return pl, nil
+}
+
+// forSlabs transposes count back-to-back slabs of pl's shape held in
+// data: inline when count or the resolved worker count is 1, and
+// otherwise spread over the shared pool. pl runs each slab on one
+// worker (or count is 1), so pool dispatches never nest. The caller has
+// checked len(data) = count·pl's size.
+func forSlabs[T any](pl *Planner[T], data []T, count, workers int) {
+	stride := pl.p.size
+	if count == 1 || parallel.Workers(workers) == 1 {
+		for k := range count {
+			pl.run(data[k*stride : (k+1)*stride])
+		}
+		return
+	}
+	parallel.Shared().For(count, workers, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			pl.run(data[k*stride : (k+1)*stride])
+		}
+	})
+}
+
+// optionsOf resolves the variadic Options of the entry points that take
+// one: at most one value is honoured.
+func optionsOf(opts []Options) Options {
+	if len(opts) > 0 {
+		return opts[0]
+	}
+	return Options{}
 }

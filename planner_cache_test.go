@@ -1,6 +1,10 @@
 package inplace
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // refTranspose is a minimal reference for the cache tests (the external
 // test package has its own; this one avoids an import cycle).
@@ -21,14 +25,23 @@ func fillRandomish(data []uint64) {
 }
 
 // TestPlannerCacheEvictionAndStats fills the bounded planner cache past
-// capacity and checks that (a) the FIFO eviction drops the oldest
-// entry, (b) an evicted entry is transparently rebuilt and still
-// transposes correctly, and (c) the read-only hit/miss/eviction
-// counters account for every step exactly.
+// capacity with 2D and permutation entries and checks that (a) the two
+// kinds share one FIFO, which drops the oldest entry of either kind,
+// (b) an evicted entry is transparently rebuilt and still transposes
+// correctly, and (c) the read-only hit/miss/eviction counters account
+// for every step exactly.
 func TestPlannerCacheEvictionAndStats(t *testing.T) {
 	flushPlannerCache() // deterministic starting point
 	s0 := PlannerCacheStats()
 	o := Options{Workers: 1}
+	expect := func(step string, hits, misses, evictions uint64) {
+		t.Helper()
+		s := PlannerCacheStats()
+		if s.Hits-s0.Hits != hits || s.Misses-s0.Misses != misses || s.Evictions-s0.Evictions != evictions {
+			t.Fatalf("%s: %+v (baseline %+v), want hits+%d misses+%d evictions+%d",
+				step, s, s0, hits, misses, evictions)
+		}
+	}
 
 	const aRows, aCols = 37, 29
 	a := make([]uint64, aRows*aCols)
@@ -44,9 +57,7 @@ func TestPlannerCacheEvictionAndStats(t *testing.T) {
 			t.Fatalf("first transpose incorrect at %d", i)
 		}
 	}
-	if s := PlannerCacheStats(); s.Misses-s0.Misses != 1 || s.Hits != s0.Hits {
-		t.Fatalf("after first use: %+v (baseline %+v), want exactly one miss", s, s0)
-	}
+	expect("after first use", 0, 1, 0)
 
 	// Transpose back with the swapped shape — a distinct cache key, so a
 	// second miss — then repeat the original shape for a pure hit.
@@ -56,31 +67,46 @@ func TestPlannerCacheEvictionAndStats(t *testing.T) {
 	if err := TransposeWith(a, aRows, aCols, o); err != nil {
 		t.Fatal(err)
 	}
-	if s := PlannerCacheStats(); s.Hits-s0.Hits != 1 || s.Misses-s0.Misses != 2 {
-		t.Fatalf("after hit: %+v (baseline %+v), want hits+1 misses+2", s, s0)
-	}
+	expect("after 2D hit", 1, 2, 0)
 
-	// Flood the cache with plannerCacheCap distinct shapes: the two
-	// entries above are the oldest and must both be evicted, with the
-	// eviction counter advancing once per drop beyond capacity.
-	for i := 0; i < plannerCacheCap; i++ {
+	// Two permutation entries join the same cache behind the 2D ones: a
+	// forward and an inverse permutation miss, the forward one then hits.
+	dims, perm := []int{3, 4, 5}, []int{2, 0, 1}
+	invDims, invPerm := permutedDims(dims, perm), []int{1, 2, 0}
+	p := fillSeq(3 * 4 * 5)
+	orig := append([]uint32(nil), p...)
+	permute := func(dims, perm []int) {
+		t.Helper()
+		if err := PermuteAxes(p, dims, perm, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	permute(dims, perm)
+	permute(invDims, invPerm)
+	permute(dims, perm)
+	if want := naivePermute(orig, dims, perm); !slices.Equal(p, want) {
+		t.Fatal("cached permutation incorrect")
+	}
+	expect("after permutation hit", 2, 4, 0)
+
+	// Flood the cache with distinct 2D shapes up to two past capacity:
+	// the two 2D entries above are the oldest and must both be evicted,
+	// with the eviction counter advancing once per drop beyond capacity,
+	// while the younger permutation entries survive.
+	for i := 0; i < plannerCacheCap-2; i++ {
 		buf := make([]uint64, (i+3)*2)
 		if err := TransposeWith(buf, i+3, 2, o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := PlannerCacheStats()
-	if got := s.Misses - s0.Misses; got != 2+plannerCacheCap {
-		t.Fatalf("flood misses = %d, want %d", got, 2+plannerCacheCap)
-	}
-	// 2 + cap insertions into a cap-bounded FIFO ⇒ exactly 2 evictions.
-	if got := s.Evictions - s0.Evictions; got != 2 {
-		t.Fatalf("flood evictions = %d, want 2", got)
-	}
+	expect("after flood", 2, plannerCacheCap+2, 2)
+	permute(invDims, invPerm)
+	expect("permutation entry after flood", 3, plannerCacheCap+2, 2)
 
 	// The evicted entry rebuilds transparently and still transposes
 	// correctly (the data buffer currently holds the transposed array, so
-	// transpose back and compare with the original).
+	// transpose back and compare with the original). Its insertion
+	// evicts the oldest entry, the forward permutation.
 	fillRandomish(a)
 	want = refTranspose(a, aRows, aCols)
 	if err := TransposeWith(a, aRows, aCols, o); err != nil {
@@ -91,26 +117,68 @@ func TestPlannerCacheEvictionAndStats(t *testing.T) {
 			t.Fatalf("rebuilt-after-eviction transpose incorrect at %d", i)
 		}
 	}
-	s = PlannerCacheStats()
-	if got := s.Misses - s0.Misses; got != 3+plannerCacheCap {
-		t.Fatalf("post-eviction rebuild misses = %d, want %d (a rebuild, not a hit)", got, 3+plannerCacheCap)
+	expect("post-eviction rebuild", 3, plannerCacheCap+3, 3)
+
+	// The evicted permutation rebuilds too, evicting the inverse one.
+	permute(dims, perm)
+	if want := naivePermute(orig, dims, perm); !slices.Equal(p, want) {
+		t.Fatal("rebuilt-after-eviction permutation incorrect")
 	}
-	if got := s.Evictions - s0.Evictions; got != 3 {
-		t.Fatalf("post-eviction rebuild evictions = %d, want 3", got)
-	}
+	expect("permutation rebuild", 3, plannerCacheCap+4, 4)
 
 	// A freshly inserted shape still hits.
 	if err := TransposeWith(a, aRows, aCols, o); err != nil {
 		t.Fatal(err)
 	}
-	if got := PlannerCacheStats().Hits - s0.Hits; got != 2 {
-		t.Fatalf("final hits = %d, want 2", got)
+	expect("final", 4, plannerCacheCap+4, 4)
+}
+
+// TestPlannerCacheHashCollisionMisses plants a planner for other dims
+// and perm under a permutation's key, as a hash collision would: the
+// lookup must miss, build a correct planner and give it the slot.
+func TestPlannerCacheHashCollisionMisses(t *testing.T) {
+	flushPlannerCache()
+	defer flushPlannerCache()
+	o := Options{Workers: 1}
+	dims, perm := []int{6, 4}, []int{1, 0}
+	other, err := NewPermutePlanner[uint64]([]int{4, 6}, []int{1, 0}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := plannerKey{perm: permHash(dims, perm), opts: o, typ: reflect.TypeFor[*PermutePlanner[uint64]]()}
+	plannerCache.mu.Lock()
+	plannerCache.m = map[plannerKey]any{key: other}
+	plannerCache.order = []plannerKey{key}
+	plannerCache.mu.Unlock()
+
+	s0 := PlannerCacheStats()
+	data := make([]uint64, 24)
+	fillRandomish(data)
+	want := refTranspose(data, 6, 4)
+	if err := PermuteAxes(data, dims, perm, o); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		if data[i] != want[i] {
+			t.Fatalf("colliding key served a wrong plan: mismatch at %d", i)
+		}
+	}
+	if s := PlannerCacheStats(); s.Misses-s0.Misses != 1 || s.Hits != s0.Hits {
+		t.Fatalf("colliding lookup: %+v (baseline %+v), want one miss and no hit", s, s0)
+	}
+	// The fresh planner took the slot: the same request now hits.
+	if err := PermuteAxes(data, dims, perm, o); err != nil {
+		t.Fatal(err)
+	}
+	if s := PlannerCacheStats(); s.Hits-s0.Hits != 1 || len(plannerCache.order) != 1 {
+		t.Fatalf("after the collision: %+v, %d entries; want one hit and one entry", s, len(plannerCache.order))
 	}
 }
 
 // TestPlannerCacheFlushOnWisdomChange pins the invariant that makes
-// wisdom safe: mutating the wisdom table drops cached planners, so a
-// stale pre-wisdom plan can never serve a post-wisdom call.
+// wisdom safe: mutating the wisdom table drops cached planners, 2D and
+// permutation alike, so a stale pre-wisdom plan can never serve a
+// post-wisdom call.
 func TestPlannerCacheFlushOnWisdomChange(t *testing.T) {
 	flushPlannerCache()
 	defer ClearWisdom()
@@ -118,19 +186,31 @@ func TestPlannerCacheFlushOnWisdomChange(t *testing.T) {
 	o := Options{Workers: 1}
 
 	data := make([]uint64, 48*64)
-	if err := TransposeWith(data, 48, 64, o); err != nil {
-		t.Fatal(err)
+	dims, perm := []int{4, 8, 6}, []int{0, 2, 1}
+	p := make([]uint64, 4*8*6)
+	run := func() {
+		t.Helper()
+		if err := TransposeWith(data, 48, 64, o); err != nil {
+			t.Fatal(err)
+		}
+		if err := PermuteAxes(p, dims, perm, o); err != nil {
+			t.Fatal(err)
+		}
 	}
+	run()
 	s0 := PlannerCacheStats()
+	run()
+	if s := PlannerCacheStats(); s.Hits-s0.Hits != 2 || s.Misses != s0.Misses {
+		t.Fatalf("warm calls: %+v (baseline %+v), want two hits", s, s0)
+	}
 	if _, err := Tune[uint64](48, 64, TuneConfig{Workers: 1, Fast: true}); err != nil {
 		t.Fatal(err)
 	}
-	// The same call misses again: the cache was flushed by the wisdom
-	// update and the rebuilt planner reflects the tuned decision.
-	if err := TransposeWith(data, 64, 48, o); err != nil {
-		t.Fatal(err)
-	}
-	if s := PlannerCacheStats(); s.Misses == s0.Misses {
-		t.Error("wisdom mutation did not flush the planner cache")
+	// The same calls miss again: the cache was flushed by the wisdom
+	// update and the rebuilt planners reflect the tuned decision.
+	s0 = PlannerCacheStats()
+	run()
+	if s := PlannerCacheStats(); s.Misses-s0.Misses != 2 || s.Hits != s0.Hits {
+		t.Errorf("after a wisdom mutation: %+v (baseline %+v), want two misses", s, s0)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unsafe"
 
 	"inplace/internal/mathutil"
 	"inplace/internal/parallel"
@@ -176,65 +175,29 @@ func storeOptions(o DatasetOptions) tilestore.Options {
 	}
 }
 
-// datasetEngine is the typed transpose the store runs per chunk: the
-// planner-cache-backed AOSToSOA/SOAToAOS of this package over an
-// aligned reinterpretation of the chunk bytes. Widths without a native
-// type (or misaligned buffers, which the store never produces) are
-// declined with ErrEngineElem and the store falls back to its built-in
-// opaque-record path.
+// datasetEngine is the typed transpose the store runs per chunk: this
+// package's planner-cache-backed AoS↔SoA conversion over the chunk
+// bytes as words of the element width. Widths without a word type are
+// declined with ErrEngineElem, and the store falls back to its
+// built-in opaque-record path.
 func datasetEngine(workers int) tilestore.Engine {
 	opt := Options{Workers: workers}
 	return tilestore.Engine{
 		AOSToSOA: func(data []byte, count, fields, elem int) error {
-			return viewConvert(data, count, fields, elem, opt, false)
+			return engineErr(TransposeElem(data, count, fields, elem, opt))
 		},
 		SOAToAOS: func(data []byte, count, fields, elem int) error {
-			return viewConvert(data, count, fields, elem, opt, true)
+			return engineErr(TransposeElem(data, fields, count, elem, opt))
 		},
 	}
 }
 
-// viewConvert dispatches one chunk conversion onto the typed engine.
-func viewConvert(data []byte, count, fields, elem int, o Options, inverse bool) error {
-	switch elem {
-	case 1:
-		return runConvert(data, count, fields, o, inverse)
-	case 2:
-		if v, ok := byteView[uint16](data); ok {
-			return runConvert(v, count, fields, o, inverse)
-		}
-	case 4:
-		if v, ok := byteView[uint32](data); ok {
-			return runConvert(v, count, fields, o, inverse)
-		}
-	case 8:
-		if v, ok := byteView[uint64](data); ok {
-			return runConvert(v, count, fields, o, inverse)
-		}
+// engineErr maps ErrElemSize onto the store's decline sentinel.
+func engineErr(err error) error {
+	if errors.Is(err, ErrElemSize) {
+		return tilestore.ErrEngineElem
 	}
-	return tilestore.ErrEngineElem
-}
-
-func runConvert[T any](data []T, count, fields int, o Options, inverse bool) error {
-	if inverse {
-		return SOAToAOS(data, count, fields, o)
-	}
-	return AOSToSOA(data, count, fields, o)
-}
-
-// byteView reinterprets raw as []T when the base pointer is aligned and
-// the length divides evenly (the same zero-copy idiom as the transpose
-// service's data plane).
-func byteView[T any](raw []byte) ([]T, bool) {
-	var t T
-	sz := int(unsafe.Sizeof(t))
-	if len(raw) == 0 || len(raw)%sz != 0 {
-		return nil, false
-	}
-	if uintptr(unsafe.Pointer(&raw[0]))%uintptr(unsafe.Alignof(t)) != 0 {
-		return nil, false
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), len(raw)/sz), true
+	return err
 }
 
 // resolveChunkRows picks the chunk height: explicit > wisdom > the

@@ -201,18 +201,11 @@ func Tune[T any](rows, cols int, cfgs ...TuneConfig) (TuneResult, error) {
 // Supported widths are 1, 2, 4 and 8; wisdom recorded for a width is
 // consulted by any element type of that size.
 func TuneElem(rows, cols, elemSize int, cfgs ...TuneConfig) (TuneResult, error) {
-	switch elemSize {
-	case 1:
-		return Tune[uint8](rows, cols, cfgs...)
-	case 2:
-		return Tune[uint16](rows, cols, cfgs...)
-	case 4:
-		return Tune[uint32](rows, cols, cfgs...)
-	case 8:
-		return Tune[uint64](rows, cols, cfgs...)
-	default:
-		return TuneResult{}, fmt.Errorf("%w: %d (want 1, 2, 4 or 8)", ErrElemSize, elemSize)
+	w, err := wordsOf(elemSize)
+	if err != nil {
+		return TuneResult{}, err
 	}
+	return w.tune(rows, cols, cfgs)
 }
 
 // LoadWisdom merges the wisdom file at path into the process table.
