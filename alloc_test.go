@@ -15,8 +15,7 @@ import (
 // These tests pin down the tentpole guarantee of the Planner API: once
 // the scratch arena is warm, Execute performs no heap allocation at all.
 // testing.AllocsPerRun runs the body once before measuring, which warms
-// the arena and the lazily-built cycle decomposition exactly like a
-// caller's first Execute would.
+// the arena exactly like a caller's first Execute would.
 
 func requireZeroAllocs(t *testing.T, rows, cols int, o inplace.Options) {
 	t.Helper()
@@ -47,33 +46,34 @@ func requireZeroAllocsWarm(t *testing.T, what string, body func() error) {
 }
 
 func TestExecuteZeroAllocCacheAware(t *testing.T) {
-	requireZeroAllocs(t, 512, 384, inplace.Options{Workers: 1, Method: inplace.CacheAware})
+	requireZeroAllocs(t, 512, 384, inplace.Options{Workers: 1})
 }
 
 func TestExecuteZeroAllocCacheAwareR2C(t *testing.T) {
 	// rows > cols drives the heuristic to the R2C pipeline.
-	requireZeroAllocs(t, 384, 512, inplace.Options{Workers: 1, Method: inplace.CacheAware})
+	requireZeroAllocs(t, 384, 512, inplace.Options{Workers: 1})
 }
 
 func TestExecuteZeroAllocSkinny(t *testing.T) {
-	// ForceC2R keeps the cr plan at (100000, 8): band 7, well within the
-	// banded sweeps' viability bound, so this exercises the real skinny
-	// path rather than the cache-aware fallback.
-	requireZeroAllocs(t, 100000, 8, inplace.Options{Workers: 1, Method: inplace.SkinnyMethod, Direction: inplace.ForceC2R})
+	// ForceC2R keeps the cr plan at (100000, 8): the column passes walk
+	// 100000-row columns, the direction the heuristic avoids.
+	requireZeroAllocs(t, 100000, 8, inplace.Options{Workers: 1, Direction: inplace.ForceC2R})
 }
 
 func TestExecuteZeroAllocSkinnyR2C(t *testing.T) {
-	requireZeroAllocs(t, 8, 100000, inplace.Options{Workers: 1, Method: inplace.SkinnyMethod, Direction: inplace.ForceR2C})
+	requireZeroAllocs(t, 8, 100000, inplace.Options{Workers: 1, Direction: inplace.ForceR2C})
 }
 
-func TestExecuteZeroAllocScatterGather(t *testing.T) {
-	requireZeroAllocs(t, 96, 56, inplace.Options{Workers: 1, Method: inplace.Algorithm1})
-	requireZeroAllocs(t, 96, 56, inplace.Options{Workers: 1, Method: inplace.GatherOnly})
+func TestExecuteZeroAllocBothDirections(t *testing.T) {
+	// gcd 8 and m > n: the pre-rotation and the stride-table gather, in
+	// either direction.
+	requireZeroAllocs(t, 96, 56, inplace.Options{Workers: 1, Direction: inplace.ForceC2R})
+	requireZeroAllocs(t, 96, 56, inplace.Options{Workers: 1, Direction: inplace.ForceR2C})
 }
 
 func TestExecuteZeroAllocGcdShapes(t *testing.T) {
-	// gcd > 1 enables the pre-rotation pass and its rotation closures.
-	requireZeroAllocs(t, 120, 96, inplace.Options{Workers: 1, Method: inplace.CacheAware})
+	// gcd > 1 enables the pre-rotation pass.
+	requireZeroAllocs(t, 120, 96, inplace.Options{Workers: 1})
 }
 
 func TestExecuteZeroAllocRowKernels(t *testing.T) {
@@ -81,7 +81,7 @@ func TestExecuteZeroAllocRowKernels(t *testing.T) {
 	// a = 1 interleave in both directions, and the stride-table gather
 	// on a coprime shape (the gcd shapes above run it too).
 	for _, sh := range [][2]int{{256, 256}, {16, 4096}, {4096, 16}, {250, 257}} {
-		requireZeroAllocs(t, sh[0], sh[1], inplace.Options{Workers: 1, Method: inplace.CacheAware})
+		requireZeroAllocs(t, sh[0], sh[1], inplace.Options{Workers: 1})
 	}
 }
 

@@ -49,7 +49,7 @@ func BenchmarkTable1C2RSequential(b *testing.B) {
 	data := make([]uint64, cpuM*cpuN)
 	fillU64(data)
 	b.SetBytes(int64(2 * cpuM * cpuN * 8))
-	o := inplace.Options{Method: inplace.CacheAware, Workers: 1}
+	o := inplace.Options{Workers: 1}
 	for i := 0; i < b.N; i++ {
 		if err := inplace.TransposeWith(data, cpuM, cpuN, o); err != nil {
 			b.Fatal(err)
@@ -61,7 +61,7 @@ func BenchmarkTable1C2RParallel(b *testing.B) {
 	data := make([]uint64, cpuM*cpuN)
 	fillU64(data)
 	b.SetBytes(int64(2 * cpuM * cpuN * 8))
-	o := inplace.Options{Method: inplace.CacheAware}
+	o := inplace.Options{}
 	for i := 0; i < b.N; i++ {
 		if err := inplace.TransposeWith(data, cpuM, cpuN, o); err != nil {
 			b.Fatal(err)
@@ -85,7 +85,7 @@ func landscapeBench(b *testing.B, m, n int, dir inplace.Direction) {
 	data := make([]uint64, m*n)
 	fillU64(data)
 	b.SetBytes(int64(2 * m * n * 8))
-	o := inplace.Options{Method: inplace.CacheAware, Direction: dir}
+	o := inplace.Options{Direction: dir}
 	for i := 0; i < b.N; i++ {
 		if err := inplace.TransposeWith(data, m, n, o); err != nil {
 			b.Fatal(err)
@@ -243,7 +243,7 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 			data := make([]uint64, m*n)
 			fillU64(data)
 			b.SetBytes(int64(2 * m * n * 8))
-			o := inplace.Options{Method: inplace.CacheAware, Direction: cfg.dir}
+			o := inplace.Options{Direction: cfg.dir}
 			for i := 0; i < b.N; i++ {
 				if err := inplace.TransposeWith(data, m, n, o); err != nil {
 					b.Fatal(err)
@@ -256,21 +256,17 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 // --- Plan reuse (the Planner API's amortization claim) ---
 //
 // The reuse benchmarks measure the same transpose twice: cold builds a
-// fresh Planner every iteration (planning arithmetic, scratch
-// allocation, and for skinny shapes the O(m) cycle decomposition all on
-// the critical path), reused executes one prebuilt Planner. The gap is
-// the amortized cost the plan cache removes from TransposeWith; the
-// reused benchmarks must also report 0 allocs/op.
+// fresh Planner every iteration (planning arithmetic and scratch
+// allocation on the critical path), reused executes one prebuilt
+// Planner. The gap is the amortized cost the plan cache removes from
+// TransposeWith; the reused benchmarks must also report 0 allocs/op.
 
 // planReuseM×planReuseN is the acceptance shape: a million 4-field
-// structures, the AoS↔SoA workload of §6 where planning (cycle
-// decomposition of q over 10^6 rows) is a large fraction of one
-// transpose.
+// structures, the AoS↔SoA workload of §6.
 const planReuseM, planReuseN = 1_000_000, 4
 
 var planReuseOpts = inplace.Options{
 	Workers:   1,
-	Method:    inplace.SkinnyMethod,
 	Direction: inplace.ForceC2R,
 }
 

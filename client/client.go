@@ -19,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"net"
 	"time"
@@ -271,14 +270,11 @@ func (c *Client) download(data []byte) error {
 	if off != len(data) {
 		return fmt.Errorf("%w: result short: %d of %d bytes", ErrProtocol, off, len(data))
 	}
-	if crc64.Checksum(data, crcTab) != res.CRC {
+	if wire.ResultCRC(0, data) != res.CRC {
 		return ErrChecksum
 	}
 	return nil
 }
-
-// crcTab is the CRC64-ECMA table, matching the server's.
-var crcTab = crc64.MakeTable(crc64.ECMA)
 
 // readFrame reads one control frame into the client's scratch buffer.
 func (c *Client) readFrame() (wire.Type, []byte, error) {

@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	xpose -rows M -cols N [-elem 8] [-order row|col] [-method auto|...]
-//	      [-workers N] file
+//	xpose -rows M -cols N [-elem 8] [-order row|col] [-workers N] file
 //	xpose -dims NxHxWxC -perm 0,3,1,2 [-elem 8] [-workers N] file
 //	xpose -demo fig1|fig2
 //
@@ -31,7 +30,6 @@ func main() {
 	perm := flag.String("perm", "", `axis permutation over -dims, numpy convention (e.g. "0,3,1,2")`)
 	elem := flag.Int("elem", 8, "element size in bytes (1, 2, 4 or 8)")
 	order := flag.String("order", "row", "storage order: row or col (2D only)")
-	method := flag.String("method", "auto", "engine: auto, algorithm1, gather, cache-aware or skinny")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	demo := flag.String("demo", "", "print a figure walkthrough (fig1 or fig2) and exit")
 	wisdom := flag.String("wisdom", "", "wisdom file to load before planning (see cmd/xposetune)")
@@ -63,20 +61,6 @@ func main() {
 		o.Order = inplace.ColMajor
 	default:
 		fatal(fmt.Errorf("unknown order %q", *order))
-	}
-	switch *method {
-	case "auto":
-		o.Method = inplace.Auto
-	case "algorithm1":
-		o.Method = inplace.Algorithm1
-	case "gather":
-		o.Method = inplace.GatherOnly
-	case "cache-aware":
-		o.Method = inplace.CacheAware
-	case "skinny":
-		o.Method = inplace.SkinnyMethod
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
 	}
 
 	// Wisdom flow: load recorded decisions first, optionally refresh the

@@ -37,8 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -72,19 +70,19 @@ func main() {
 		return
 	}
 
-	budgetBytes, err := parseSize(*budget)
+	budgetBytes, err := mathutil.ParseSize(*budget)
 	if err != nil {
 		fatal(err)
 	}
-	memBytes, err := parseSize(*memLimit)
+	memBytes, err := mathutil.ParseSize(*memLimit)
 	if err != nil {
 		fatal(err)
 	}
-	oocBytes, err := parseSize(*oocBudget)
+	oocBytes, err := mathutil.ParseSize(*oocBudget)
 	if err != nil {
 		fatal(err)
 	}
-	coalesceBytes, err := parseSize(*coalesceLimit)
+	coalesceBytes, err := mathutil.ParseSize(*coalesceLimit)
 	if err != nil {
 		fatal(err)
 	}
@@ -445,25 +443,6 @@ func refTranspose(raw []byte, rows, cols, elem int) []byte {
 		}
 	}
 	return out
-}
-
-// parseSize parses a byte size with optional k/m/g suffix.
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mul := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mul, s = 1<<10, strings.TrimSuffix(s, "k")
-	case strings.HasSuffix(s, "m"):
-		mul, s = 1<<20, strings.TrimSuffix(s, "m")
-	case strings.HasSuffix(s, "g"):
-		mul, s = 1<<30, strings.TrimSuffix(s, "g")
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
-	}
-	return n * mul, nil
 }
 
 func fatal(err error) {

@@ -23,11 +23,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
-	"strconv"
-	"strings"
 
 	"inplace"
 	"inplace/internal/mathutil"
@@ -49,11 +46,11 @@ func main() {
 	selftest := flag.Bool("selftest", false, "round-trip a scratch temp file and exit")
 	flag.Parse()
 
-	budgetBytes, err := parseSize(*budget)
+	budgetBytes, err := mathutil.ParseSize(*budget)
 	if err != nil {
 		fatal(err)
 	}
-	segmentBytes, err := parseSize(*segment)
+	segmentBytes, err := mathutil.ParseSize(*segment)
 	if err != nil {
 		fatal(err)
 	}
@@ -188,29 +185,6 @@ func runSelftest(budget int64) {
 	}
 	fmt.Printf("selftest ok: %dx%d (%d-byte elements) under %d-byte budget, peak resident %d, %d segments, verified\n",
 		rows, cols, elem, budget, st.PeakResidentBytes, st.SegmentsTransformed)
-}
-
-// parseSize parses a byte size with optional k/m/g suffix, rejecting
-// negative sizes and sizes that overflow int64.
-func parseSize(spec string) (int64, error) {
-	s := strings.ToLower(strings.TrimSpace(spec))
-	mul := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mul, s = 1<<10, strings.TrimSuffix(s, "k")
-	case strings.HasSuffix(s, "m"):
-		mul, s = 1<<20, strings.TrimSuffix(s, "m")
-	case strings.HasSuffix(s, "g"):
-		mul, s = 1<<30, strings.TrimSuffix(s, "g")
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", spec, err)
-	}
-	if n < 0 || n > math.MaxInt64/mul {
-		return 0, fmt.Errorf("bad size %q: want 0 to %d bytes", spec, int64(math.MaxInt64))
-	}
-	return n * mul, nil
 }
 
 // fileSize returns the byte size of a rows×cols matrix of elem-byte

@@ -118,7 +118,7 @@ func runCreate(args []string) error {
 	if err != nil {
 		return err
 	}
-	budgetBytes, err := parseSize(*budget)
+	budgetBytes, err := mathutil.ParseSize(*budget)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func runRead(args []string, project bool) error {
 	if err != nil {
 		return err
 	}
-	cacheBytes, err := parseSize(*cache)
+	cacheBytes, err := mathutil.ParseSize(*cache)
 	if err != nil {
 		return err
 	}
@@ -448,23 +448,4 @@ func parseCols(s string) ([]int, error) {
 		cols = append(cols, n)
 	}
 	return cols, nil
-}
-
-// parseSize parses a byte size with optional k/m/g suffix.
-func parseSize(s string) (int64, error) {
-	s = strings.ToLower(strings.TrimSpace(s))
-	mul := int64(1)
-	switch {
-	case strings.HasSuffix(s, "k"):
-		mul, s = 1<<10, strings.TrimSuffix(s, "k")
-	case strings.HasSuffix(s, "m"):
-		mul, s = 1<<20, strings.TrimSuffix(s, "m")
-	case strings.HasSuffix(s, "g"):
-		mul, s = 1<<30, strings.TrimSuffix(s, "g")
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q: %v", s, err)
-	}
-	return n * mul, nil
 }

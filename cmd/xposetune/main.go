@@ -159,7 +159,7 @@ func listWisdom(path string) {
 			if d.C2R {
 				dir = "C2R"
 			}
-			how = fmt.Sprintf("%s %s workers=%d blockw=%d", d.Variant, dir, d.Workers, d.BlockW)
+			how = fmt.Sprintf("%s workers=%d blockw=%d", dir, d.Workers, d.BlockW)
 		case tune.KindPermute:
 			how = fmt.Sprintf("%s workers=%d", d.Variant, d.Workers)
 		case tune.KindOOC:

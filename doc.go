@@ -67,19 +67,22 @@
 //
 //	inplace.AOSToSOA(words, count, fields)
 //
-// # Engine selection
+// # Engine
 //
-// Options.Method picks the pass structure: Algorithm1 (the paper's
-// scatter-based Algorithm 1), GatherOnly (the gather formulation used by
-// the paper's parallel CPU implementation, §5.1), CacheAware (column
-// operations as one-sweep tiled gathers through the closed-form source
-// rows, with the column shuffle's rotation and row permutation fused —
-// at most three sweeps over the matrix, §4.6–4.7, §5.2), or
-// SkinnyMethod (the banded-sweep formulation of §6.1). The default Auto
-// runs the cache-aware engine with the shape heuristic of §5.2: the C2R
-// and R2C pipelines have complementary performance landscapes with a
-// crossover at square shapes, and the heuristic picks the pipeline whose
-// internal columns are shorter (see Options.Direction to force either).
+// Every transposition runs one engine: column operations as one-sweep
+// tiled gathers through the paper's closed-form source rows, with the
+// column shuffle's rotation and row permutation fused, and the row
+// shuffle as a rotation, a blocked interleave or a gather through one
+// shared stride table, chosen by shape — at most three sweeps over the
+// matrix, two when gcd(rows, cols) = 1 (§4.6–4.7, §5.2). The shape
+// heuristic of §5.2 picks the direction: the C2R and R2C pipelines have
+// complementary performance landscapes with a crossover at square
+// shapes, and the heuristic picks the pipeline whose internal columns
+// are shorter (see Options.Direction to force either). On skinny AoS
+// shapes that keeps every column operation within the structure
+// dimension, the §6.1 specialization. Algorithm 1 and the paper's
+// coarse/fine column kernels remain in internal/core as reproduction
+// code for the figures and ablations; no public entry point runs them.
 //
 // The in-register SIMD formulation of §6.2, which lets a simulated SIMD
 // processor perform Array-of-Structures accesses at full memory
@@ -89,11 +92,11 @@
 // # Autotuning and wisdom
 //
 // The static heuristics above pick well on average, but the real
-// crossover between the engine variants, the C2R/R2C direction, worker
-// counts and tile widths depends on the machine (cache sizes, core
-// count, memory bandwidth). Tune measures the actual candidate space
-// for one shape and records the winner in a process-wide "wisdom" table
-// — the same measured-plan-selection idea as FFTW's wisdom:
+// crossover between the C2R/R2C directions, worker counts and tile
+// widths depends on the machine (cache sizes, core count, memory
+// bandwidth). Tune measures the actual candidate space for one shape
+// and records the winner in a process-wide "wisdom" table — the same
+// measured-plan-selection idea as FFTW's wisdom:
 //
 //	inplace.Tune[float64](rows, cols)        // measure once...
 //	pl, _ := inplace.NewPlanner[float64](rows, cols)
@@ -101,10 +104,10 @@
 //
 // Wisdom is consulted whenever a typed planner resolves a shape whose
 // Options leave the corresponding fields at their zero values: an
-// explicit Method, Direction, Workers, BlockWidth or MaxScratchBytes
-// always wins over wisdom, Options.Tuning == WisdomOff ignores the table
-// entirely, and WisdomRequired fails with ErrNoWisdom instead of falling
-// back to the heuristic.
+// explicit Direction, Workers, BlockWidth or MaxScratchBytes always wins
+// over wisdom, Options.Tuning == WisdomOff ignores the table entirely,
+// and WisdomRequired fails with ErrNoWisdom instead of falling back to
+// the heuristic.
 //
 // The table holds every tuner's decisions — Tune, TunePermute, TuneOOC
 // and TuneStore — keyed by (kind, canonical shape, element size,

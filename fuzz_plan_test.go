@@ -9,15 +9,15 @@ import (
 // (transpose, then inverse-transpose with a second planner, then again),
 // each result checked against the out-of-place reference. Running the
 // same cached planner twice is the point — a pass that left stale data
-// in the recycled scratch arena, a band snapshot slab, or the lazily
-// cached cycle decomposition corrupts only the second run, which a
-// single-shot fuzz target would never see.
+// in the recycled scratch arena or the row shuffle's stride table
+// corrupts only the second run, which a single-shot fuzz target would
+// never see.
 //
 // The seed corpus pins the structurally distinct corners: coprime prime
 // shapes (no pre-rotation), gcd-heavy shapes (pre-rotation and short
-// rotation cycles), skinny AoS-like shapes in both orientations (banded
-// sweeps, whole-row cycle following), degenerate vectors, and every
-// method × direction combination across them.
+// rotation cycles), skinny AoS-like shapes in both orientations,
+// degenerate vectors, and every tile width × direction combination
+// across them.
 func FuzzPlannerReuse(f *testing.F) {
 	f.Add(uint16(97), uint16(101), uint8(0), uint8(0), uint8(1)) // primes, coprime
 	f.Add(uint16(96), uint16(120), uint8(3), uint8(0), uint8(2)) // gcd 24
@@ -28,16 +28,16 @@ func FuzzPlannerReuse(f *testing.F) {
 	f.Add(uint16(251), uint16(1), uint8(0), uint8(2), uint8(2))  // degenerate column
 	f.Add(uint16(512), uint16(8), uint8(4), uint8(0), uint8(8))  // skinny, many workers
 	f.Add(uint16(30), uint16(42), uint8(3), uint8(1), uint8(1))  // gcd 6, forced C2R
-	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, methodRaw, dirRaw, workersRaw uint8) {
+	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, blockRaw, dirRaw, workersRaw uint8) {
 		rows := int(mRaw%3000) + 1
 		cols := int(nRaw%3000) + 1
 		if rows*cols > 1<<20 {
 			t.Skip("shape too large for fuzz budget")
 		}
 		o := Options{
-			Method:    Method(methodRaw % 5),
-			Direction: Direction(dirRaw % 3),
-			Workers:   int(workersRaw%8) + 1,
+			BlockWidth: fuzzBlockWidths[blockRaw%4],
+			Direction:  Direction(dirRaw % 3),
+			Workers:    int(workersRaw%8) + 1,
 		}
 
 		fwd, err := NewPlanner[uint32](rows, cols, o)

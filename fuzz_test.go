@@ -5,10 +5,15 @@ import (
 )
 
 // Fuzz targets: the in-place transposition must match the out-of-place
-// reference for arbitrary shapes, methods and directions, and must be a
-// perfect involution when applied forward and back. Run with
+// reference for arbitrary shapes, tile widths and directions, and must
+// be a perfect involution when applied forward and back. Run with
 // `go test -fuzz FuzzTranspose`; the seed corpus already covers the
 // degenerate and gcd-heavy corners.
+
+// fuzzBlockWidths are the tile widths the fuzz targets pick from: the
+// derived width, one column, and widths that straddle tile and amount
+// boundaries.
+var fuzzBlockWidths = [4]int{0, 1, 3, 33}
 
 func FuzzTranspose(f *testing.F) {
 	f.Add(uint16(1), uint16(1), uint8(0), uint8(0))
@@ -26,12 +31,12 @@ func FuzzTranspose(f *testing.F) {
 	f.Add(uint16(12), uint16(4), uint8(3), uint8(1))
 	f.Add(uint16(16), uint16(96), uint8(0), uint8(0))
 	f.Add(uint16(60), uint16(84), uint8(3), uint8(2))
-	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, methodRaw, dirRaw uint8) {
+	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, blockRaw, dirRaw uint8) {
 		rows := int(mRaw%128) + 1
 		cols := int(nRaw%128) + 1
-		method := Method(methodRaw % 5)
+		bw := fuzzBlockWidths[blockRaw%4]
 		dir := Direction(dirRaw % 3)
-		o := Options{Method: method, Direction: dir, Workers: 1 + int(methodRaw%3)}
+		o := Options{BlockWidth: bw, Direction: dir, Workers: 1 + int(blockRaw%3)}
 
 		data := make([]uint32, rows*cols)
 		for i := range data {
@@ -50,7 +55,7 @@ func FuzzTranspose(f *testing.F) {
 		}
 		for i := range data {
 			if data[i] != want[i] {
-				t.Fatalf("%dx%d method=%v dir=%v: wrong at %d", rows, cols, method, dir, i)
+				t.Fatalf("%dx%d bw=%d dir=%v: wrong at %d", rows, cols, bw, dir, i)
 			}
 		}
 		if err := TransposeWith(data, cols, rows, o); err != nil {
@@ -58,7 +63,7 @@ func FuzzTranspose(f *testing.F) {
 		}
 		for i := range data {
 			if data[i] != orig[i] {
-				t.Fatalf("%dx%d method=%v dir=%v: round trip wrong at %d", rows, cols, method, dir, i)
+				t.Fatalf("%dx%d bw=%d dir=%v: round trip wrong at %d", rows, cols, bw, dir, i)
 			}
 		}
 	})

@@ -10,56 +10,6 @@ import (
 	"inplace/internal/tune"
 )
 
-// Method selects the engine used to realize the transposition. All
-// methods compute the same permutation.
-type Method int
-
-const (
-	// Auto applies the paper's heuristics: the direction is chosen by
-	// shape so the internal columns are as short as possible (§5.2 and
-	// §6.1 — skinny AoS shapes automatically keep all column work in
-	// cache), running on the cache-aware engine.
-	Auto Method = iota
-	// Algorithm1 is the paper's Algorithm 1: gather pre-rotation,
-	// scatter row shuffle, gather column shuffle.
-	Algorithm1
-	// GatherOnly replaces the scatter row shuffle with a gather through
-	// the closed-form inverse d'^{-1} (§4.2); this is the structure of
-	// the paper's parallel CPU implementation (§5.1).
-	GatherOnly
-	// CacheAware runs every column operation as a one-sweep tiled
-	// gather: a worker copies a W-column tile into cache and writes
-	// each row back through the paper's closed-form source rows, with
-	// the column shuffle's rotation and row permutation fused (§4.6,
-	// §4.7, §5.2). Each row is shuffled through one stride table
-	// shared by all rows or, when one side divides the other, by a
-	// blocked interleave or a rotation. A transpose makes at most three
-	// sweeps over the matrix, two when gcd(rows, cols) = 1.
-	CacheAware
-	// SkinnyMethod uses the fused band sweeps of the AoS↔SoA
-	// specialization (§6.1); it falls back to CacheAware when the shape
-	// is not skinny.
-	SkinnyMethod
-)
-
-// String names the method.
-func (m Method) String() string {
-	switch m {
-	case Auto:
-		return "auto"
-	case Algorithm1:
-		return "algorithm1"
-	case GatherOnly:
-		return "gather"
-	case CacheAware:
-		return "cache-aware"
-	case SkinnyMethod:
-		return "skinny"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // Order identifies the linearization of the array handed to Transpose.
 type Order int
 
@@ -76,14 +26,11 @@ const (
 type Options struct {
 	// Workers is the number of goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// Method selects the engine; the zero value Auto is recommended.
-	Method Method
 	// Order is the linearization of the input array (default RowMajor).
 	Order Order
-	// BlockWidth overrides the tile width, in columns, of the
-	// cache-aware column passes. 0 derives it from the shape and
-	// element size: at least one 64-byte cache line, at most a 64 KiB
-	// tile.
+	// BlockWidth overrides the tile width, in columns, of the tiled
+	// column passes. 0 derives it from the shape and element size: at
+	// least one 64-byte cache line, at most a 64 KiB tile.
 	BlockWidth int
 	// Direction forces the C2R or R2C formulation instead of the
 	// shape heuristic. Zero is the heuristic.
@@ -108,11 +55,11 @@ type Tuning int
 
 const (
 	// WisdomAuto consults wisdom for every option left at its zero value
-	// (Method Auto, heuristic Direction, Workers 0, BlockWidth 0):
-	// matching wisdom fills those in with the measured-optimal choice,
-	// anything the caller set explicitly is honoured, and with no
-	// matching wisdom the static heuristics apply unchanged. This is the
-	// zero value: an untuned process behaves exactly as before.
+	// (heuristic Direction, Workers 0, BlockWidth 0): matching wisdom
+	// fills those in with the measured-optimal choice, anything the
+	// caller set explicitly is honoured, and with no matching wisdom the
+	// static heuristics apply unchanged. This is the zero value: an
+	// untuned process behaves exactly as before.
 	WisdomAuto Tuning = iota
 	// WisdomOff ignores the wisdom table entirely; the static heuristics
 	// decide. Use it to measure the heuristic baseline in a tuned
@@ -155,15 +102,13 @@ const (
 )
 
 // Plan caches the shape-dependent constants (gcd cofactors, modular
-// inverses, fixed-point reciprocals) and resolved engine choice for
-// transposing one shape repeatedly.
+// inverses, fixed-point reciprocals) and the resolved direction, worker
+// count and tile width for transposing one shape repeatedly.
 type Plan struct {
 	rows, cols int
 	size       int // rows*cols, proven not to overflow int at plan time
 	useC2R     bool
 	plan       *cr.Plan // C2R: (rows×cols); R2C: (cols×rows)
-	variant    core.Variant
-	method     Method
 	opts       core.Opts
 }
 
@@ -214,7 +159,8 @@ var ErrNoWisdom = errors.New("inplace: no wisdom for shape")
 // axes.
 var ErrPerm = errors.New("inplace: perm is not a permutation of the axes")
 
-// ErrUnknownMethod reports a Method value outside the declared set.
+// ErrUnknownMethod reports a permutation strategy name the permutation
+// planner does not know: none of greedy, inverse and cycle.
 var ErrUnknownMethod = errors.New("inplace: unknown method")
 
 // ErrElemSize reports an element size the size-dispatched functions
@@ -289,29 +235,11 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 		p.plan = cr.NewPlan(cols, rows)
 	}
 
-	// With the direction heuristic, skinny (AoS-like) shapes already run
-	// with their small dimension as the internal column length, which is
-	// the paper's §6.1 prescription ("all column operations in on-chip
-	// memory"); the cache-aware engine therefore serves every shape.
-	// SkinnyMethod selects the alternative banded formulation explicitly.
-	method := o.Method
-	if method == Auto {
-		method = CacheAware
-	}
-	switch method {
-	case Algorithm1:
-		p.variant = core.Scatter
-	case GatherOnly:
-		p.variant = core.Gather
-	case CacheAware:
-		p.variant = core.CacheAware
-	case SkinnyMethod:
-		p.variant = core.Skinny
-	default:
-		return nil, fmt.Errorf("%w %v", ErrUnknownMethod, method)
-	}
-	p.method = method
-	p.opts = core.Opts{Workers: o.Workers, Variant: p.variant, BlockW: o.BlockWidth}
+	// With the direction heuristic, skinny (AoS-like) shapes run with
+	// their small dimension as the internal column length, which is the
+	// paper's §6.1 prescription ("all column operations in on-chip
+	// memory"); the one engine therefore serves every shape.
+	p.opts = core.Opts{Workers: o.Workers, BlockW: o.BlockWidth}
 	return p, nil
 }
 
@@ -319,11 +247,10 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 // execution of a rows×cols transpose of elemSize-byte elements holds
 // when planned with opts the way the typed paths plan it (NewPlanner,
 // Transpose, TransposeWith; with opts.Workers 1, one matrix of
-// TransposeBatch), wisdom included: the direction, worker count, method
-// and tile width it resolves set the engine's per-worker scratch
-// buffers and, for SkinnyMethod, its band snapshots. Concurrent
-// executions each hold their own. The figure saturates at the largest
-// int.
+// TransposeBatch), wisdom included: the direction, worker count and
+// tile width it resolves set the engine's per-worker scratch buffers.
+// Concurrent executions each hold their own. The figure saturates at
+// the largest int.
 func ScratchBytes(rows, cols, elemSize int, opts Options) (int, error) {
 	if elemSize <= 0 {
 		return 0, fmt.Errorf("%w: %d", ErrElemSize, elemSize)
@@ -345,10 +272,6 @@ func (p *Plan) Cols() int { return p.cols }
 // R2C).
 func (p *Plan) UsesC2R() bool { return p.useC2R }
 
-// Method returns the resolved engine selection: what Auto (or wisdom)
-// actually chose. It never returns Auto.
-func (p *Plan) Method() Method { return p.method }
-
 // Workers returns the worker count the plan resolved (0 = GOMAXPROCS),
 // after any wisdom override.
 func (p *Plan) Workers() int { return p.opts.Workers }
@@ -359,7 +282,7 @@ func (p *Plan) String() string {
 	if p.useC2R {
 		dir = "C2R"
 	}
-	return fmt.Sprintf("inplace.Plan(%dx%d %s %v)", p.rows, p.cols, dir, p.variant)
+	return fmt.Sprintf("inplace.Plan(%dx%d %s)", p.rows, p.cols, dir)
 }
 
 // Do transposes data according to the plan: data must hold rows*cols
@@ -401,11 +324,10 @@ func TransposeWith[T any](data []T, rows, cols int, o Options) error {
 	return pl.Execute(data)
 }
 
-// C2R applies the paper's C2R permutation to a row-major m×n array with
-// the selected engine; the buffer then holds the row-major n×m
-// transpose. It is exposed directly for callers who need the paper's
-// primitive semantics (e.g. composing with other permutations); most
-// callers should use Transpose.
+// C2R applies the paper's C2R permutation to a row-major m×n array; the
+// buffer then holds the row-major n×m transpose. It is exposed directly
+// for callers who need the paper's primitive semantics (e.g. composing
+// with other permutations); most callers should use Transpose.
 func C2R[T any](data []T, m, n int, o Options) error {
 	size, err := checkShape(m, n)
 	if err != nil {
@@ -414,7 +336,7 @@ func C2R[T any](data []T, m, n int, o Options) error {
 	if len(data) != size {
 		return lengthErr(len(data), size)
 	}
-	core.C2R(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, Variant: methodVariant(o.Method), BlockW: o.BlockWidth})
+	core.C2R(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, BlockW: o.BlockWidth})
 	return nil
 }
 
@@ -428,19 +350,6 @@ func R2C[T any](data []T, m, n int, o Options) error {
 	if len(data) != size {
 		return lengthErr(len(data), size)
 	}
-	core.R2C(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, Variant: methodVariant(o.Method), BlockW: o.BlockWidth})
+	core.R2C(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, BlockW: o.BlockWidth})
 	return nil
-}
-
-func methodVariant(m Method) core.Variant {
-	switch m {
-	case Algorithm1:
-		return core.Scatter
-	case GatherOnly:
-		return core.Gather
-	case SkinnyMethod:
-		return core.Skinny
-	default:
-		return core.CacheAware
-	}
 }

@@ -48,19 +48,19 @@ func TestTransposeExhaustiveSmall(t *testing.T) {
 	}
 }
 
-func TestTransposeAllMethods(t *testing.T) {
+func TestTransposeBlockWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	for _, m := range []Method{Auto, Algorithm1, GatherOnly, CacheAware, SkinnyMethod} {
+	for _, bw := range fuzzBlockWidths {
 		for trial := 0; trial < 20; trial++ {
 			rows := 1 + rng.Intn(50)
 			cols := 1 + rng.Intn(50)
 			data := intSeq(rows * cols)
 			want := reference(data, rows, cols)
-			if err := TransposeWith(data, rows, cols, Options{Method: m, Workers: 3}); err != nil {
-				t.Fatalf("method %v: %v", m, err)
+			if err := TransposeWith(data, rows, cols, Options{BlockWidth: bw, Workers: 3}); err != nil {
+				t.Fatalf("block width %d: %v", bw, err)
 			}
 			if !equal(data, want) {
-				t.Fatalf("method %v %dx%d: wrong result", m, rows, cols)
+				t.Fatalf("block width %d %dx%d: wrong result", bw, rows, cols)
 			}
 		}
 	}
@@ -196,7 +196,7 @@ func TestColMajorOrder(t *testing.T) {
 }
 
 func TestPlanReuse(t *testing.T) {
-	p, err := NewPlan(9, 14, Options{Method: CacheAware})
+	p, err := NewPlan(9, 14, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +227,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := NewPlan(-1, 3, Options{}); err == nil {
 		t.Error("negative rows must fail")
-	}
-	if _, err := NewPlan(2, 3, Options{Method: Method(77)}); err == nil {
-		t.Error("unknown method must fail")
 	}
 	p, _ := NewPlan(2, 3, Options{})
 	if err := Do(p, make([]int, 7)); err == nil {
@@ -326,18 +323,6 @@ func TestAOSWithExplicitOptions(t *testing.T) {
 	}
 	if !equal(data, orig) {
 		t.Fatal("round trip with options failed")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	names := map[Method]string{
-		Auto: "auto", Algorithm1: "algorithm1", GatherOnly: "gather",
-		CacheAware: "cache-aware", SkinnyMethod: "skinny", Method(9): "Method(9)",
-	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Errorf("Method(%d).String() = %q, want %q", int(m), m.String(), want)
-		}
 	}
 }
 

@@ -88,10 +88,10 @@ func cpuMethods(workers int) []struct {
 			baseline.CycleFollowBits(data, m, n)
 		}},
 		{"C2R/R2C heuristic, 1 worker", func(data []uint64, m, n int) {
-			mustTranspose(data, m, n, inplace.Options{Method: inplace.CacheAware, Workers: 1})
+			mustTranspose(data, m, n, inplace.Options{Workers: 1})
 		}},
 		{fmt.Sprintf("C2R/R2C heuristic, parallel (%d workers)", workers), func(data []uint64, m, n int) {
-			mustTranspose(data, m, n, inplace.Options{Method: inplace.CacheAware, Workers: workers})
+			mustTranspose(data, m, n, inplace.Options{Workers: workers})
 		}},
 		{"Gustavson-style (tiled)", func(data []uint64, m, n int) {
 			baseline.Gustavson(data, m, n, baseline.GustavsonOpts{Workers: workers})
@@ -194,7 +194,7 @@ func landscape(cfg Config, useC2R bool) (ms, ns []int, grid [][]float64) {
 		for j, n := range dims {
 			data := gridBuf[uint64](m, n)
 			FillSeq(data)
-			o := inplace.Options{Method: inplace.CacheAware, Workers: cfg.workers(), Direction: dirOpt}
+			o := inplace.Options{Workers: cfg.workers(), Direction: dirOpt}
 			d := Time(func() { mustTranspose(data, m, n, o) })
 			grid[i][j] = ThroughputGBps(m, n, 8, d)
 		}
@@ -301,7 +301,7 @@ func Table2(cfg Config) []Result {
 
 // --- Figure 7: AoS -> SoA conversion throughput ---
 
-// Fig7 measures the skinny-engine Array-of-Structures to
+// Fig7 measures the in-place Array-of-Structures to
 // Structure-of-Arrays conversion over random structure sizes and counts.
 func Fig7(cfg Config) []Result {
 	samples, fieldsR, countR := AoSWorkload(cfg.Scale)

@@ -33,13 +33,13 @@ type MicroCase struct {
 }
 
 // microDims fixes the micro shape families at one workload scale. The
-// families mirror the library's specializations: a bulk cache-aware
-// shape measured cold and warm, the skinny banded shape, the cached
-// ad-hoc path, a batch, the out-of-core engine and the AoS conversion.
+// families mirror the library's uses: a bulk shape measured cold and
+// warm, a skinny AoS shape, the cached ad-hoc path, a batch, the
+// out-of-core engine and the AoS conversion.
 type microDims struct {
 	coldM, coldN     int // planning on the critical path
-	warmM, warmN     int // steady-state cache-aware Execute
-	skinnyM, skinnyN int // skinny banded specialization
+	warmM, warmN     int // steady-state Execute
+	skinnyM, skinnyN int // skinny AoS shape, C2R forced
 	cachedM, cachedN int // plan-cache hit + Execute
 	batchCount       int // batched transpose
 	batchM, batchN   int
@@ -117,8 +117,8 @@ func MicroMatrix(scale Scale, workers []int, budgetDivs []int) []MicroCase {
 					data := gridBuf[uint64](d.coldM, d.coldN)
 					FillSeq(data)
 					return func() {
-						// Planning on the critical path: schedule + arena +
-						// cycles rebuilt every op.
+						// Planning on the critical path: schedule, engine
+						// and arena rebuilt every op.
 						pl, err := inplace.NewPlanner[uint64](d.coldM, d.coldN, inplace.Options{Workers: w})
 						if err != nil {
 							panic(err)
@@ -132,14 +132,12 @@ func MicroMatrix(scale Scale, workers []int, budgetDivs []int) []MicroCase {
 			MicroCase{
 				Name: fmt.Sprintf("planner_warm_cacheaware_%dx%d_w%d", d.warmM, d.warmN, w),
 				M:    d.warmM, N: d.warmN, ElemBytes: 8,
-				Prep: warmPlanner(d.warmM, d.warmN, inplace.Options{Workers: w, Method: inplace.CacheAware}),
+				Prep: warmPlanner(d.warmM, d.warmN, inplace.Options{Workers: w}),
 			},
 			MicroCase{
 				Name: fmt.Sprintf("planner_warm_skinny_%dx%d_w%d", d.skinnyM, d.skinnyN, w),
 				M:    d.skinnyM, N: d.skinnyN, ElemBytes: 8,
-				Prep: warmPlanner(d.skinnyM, d.skinnyN, inplace.Options{
-					Workers: w, Method: inplace.SkinnyMethod, Direction: inplace.ForceC2R,
-				}),
+				Prep: warmPlanner(d.skinnyM, d.skinnyN, inplace.Options{Workers: w, Direction: inplace.ForceC2R}),
 			},
 			MicroCase{
 				Name: fmt.Sprintf("transpose_cached_%dx%d_w%d", d.cachedM, d.cachedN, w),
@@ -306,7 +304,7 @@ func MeasureMicro(c MicroCase, opts tune.MeasureOpts) benchfmt.Experiment {
 // allocsPerOp counts heap allocations and allocated bytes per call of
 // body, testing.AllocsPerRun-style: GOMAXPROCS pinned to 1 so no
 // concurrent goroutine pollutes the counters, then one warm-up call —
-// lazy cycle decompositions, arenas, pool spin-up, and the per-P caches
+// arenas, pool spin-up, and the per-P caches
 // of the one remaining P, which the pin leaves cold — then runs calls
 // averaged (an even count so cases that flip orientation each op
 // average both directions).

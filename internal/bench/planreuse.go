@@ -17,14 +17,14 @@ func init() {
 // PlanReuse measures the Planner API's amortization claim over the
 // AoS-like workload where planning cost matters most: for each sampled
 // shape, the same transpose runs cold (a fresh Planner per call, putting
-// the schedule construction, scratch allocation and cycle decomposition
-// on the critical path) and warm (one prebuilt Planner executed
+// the schedule and engine construction and the scratch allocation on
+// the critical path) and warm (one prebuilt Planner executed
 // repeatedly, which after warm-up allocates nothing). Reported is the
 // per-shape throughput pair and the distribution of warm/cold speedups.
 func PlanReuse(cfg Config) []Result {
 	samples, fieldsR, countR := AoSWorkload(cfg.Scale)
 	rng := NewRNG(cfg.Seed + 11)
-	o := inplace.Options{Workers: cfg.Workers, Method: inplace.SkinnyMethod, Direction: inplace.ForceC2R}
+	o := inplace.Options{Workers: cfg.Workers, Direction: inplace.ForceC2R}
 	var speedups []float64
 	var csvRows [][]float64
 	for s := 0; s < samples; s++ {

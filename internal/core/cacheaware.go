@@ -8,15 +8,15 @@ import (
 )
 
 // This file implements the paper's cache-aware column operations of
-// §4.6 and §4.7 as the reproduction kernels behind the Pass* entry
-// points and the ablation benchmarks; the Engine's cache-aware pipeline
-// runs the tiled passes of tile.go instead. Column rotations are split
-// into a coarse phase — rotating whole cache-line-wide sub-rows by a
-// per-group common amount via the analytic rotation cycles — and a fine
-// phase that applies the small residual rotations with a single forward
-// sweep over bounded-lookahead bands. The row permute moves whole
-// sub-rows along precomputed cycles of q; the skinny pipeline reuses its
-// whole-row form.
+// §4.6 and §4.7 as reproduction kernels: the Pass* entry points (whose
+// pass-by-pass replay profiles the decomposition) and the ablation
+// benchmarks run them, and no Engine does — the Engine runs the tiled
+// passes of tile.go. Column rotations are split into a coarse phase —
+// rotating whole cache-line-wide sub-rows by a per-group common amount
+// via the analytic rotation cycles — and a fine phase that applies the
+// small residual rotations with a single forward sweep over
+// bounded-lookahead bands. The row permute moves whole sub-rows along
+// precomputed cycles of q.
 
 // groupScratch is the coarse/fine rotation's per-chunk scratch: the
 // group amounts and residuals, the sub-row spare, and the fine phase's
@@ -154,8 +154,9 @@ func rowPermuteWideRange[T any](data []T, n, blockW int, p perm.P, leaders, leng
 }
 
 // rowPermuteNarrowRange permutes whole rows for the cycles led by
-// leaders[lo:hi], each worker moving full n-element rows: the skinny
-// pipeline's row permute. spare must hold at least n elements.
+// leaders[lo:hi], each worker moving full n-element rows: the row
+// permute of matrices too narrow to split by column. spare must hold at
+// least n elements.
 //
 //xpose:hotpath
 func rowPermuteNarrowRange[T any](data []T, n int, p perm.P, leaders, lengths []int, spare []T, lo, hi int) {
@@ -202,15 +203,15 @@ func PassRotatePre[T any](data []T, p *cr.Plan, blockW, workers int) {
 }
 
 // PassRowShuffle runs the C2R row shuffle pass in isolation, with the
-// kernel the cache-aware pipeline runs for p's shape (rowshuffle.go).
+// kernel the Engine runs for p's shape (rowshuffle.go).
 func PassRowShuffle[T any](data []T, p *cr.Plan, workers int) {
-	e := NewEngine[T](NewSchedule(p, Opts{Workers: workers, Variant: CacheAware}))
+	e := NewEngine[T](NewSchedule(p, Opts{Workers: workers}))
 	e.shufflePass(data, newExecState[T](e.s), true)
 }
 
 // PassRotateP runs the column-shuffle rotation component in isolation.
 func PassRotateP[T any](data []T, p *cr.Plan, blockW, workers int) {
-	rotateColumnsCacheAware(data, p.M, p.N, identityAmount, blockW, workers)
+	rotateColumnsCacheAware(data, p.M, p.N, func(j int) int { return j }, blockW, workers)
 }
 
 // PassRowPermute runs the column-shuffle row-permutation component in

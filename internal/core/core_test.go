@@ -11,8 +11,6 @@ import (
 	"inplace/internal/parallel"
 )
 
-var allVariants = []Variant{Scatter, Gather, CacheAware, Skinny}
-
 func seqSlice(n int) []int {
 	x := make([]int, n)
 	for i := range x {
@@ -85,20 +83,65 @@ func TestGatherR2CInvertsC2R(t *testing.T) {
 	}
 }
 
-// Every engine variant must realize the transposition for every shape.
+// form is one way the package runs a transposition of plan p.
+type form struct {
+	name string
+	run  func(data []int, p *cr.Plan, workers int)
+}
+
+// c2rForms are the ways the package runs a C2R transposition: the
+// Engine with the row kernel its shape selects; Algorithm 1 verbatim,
+// whose row shuffle scatters through d' (the reproduction code of the
+// Theorem 7 test); its gather-only form of §5.1, whose row shuffle
+// gathers through d'⁻¹ (the kernels the ablations time); and the Engine
+// with the closed-form row kernel that plans past MaxInt32 columns run.
+var c2rForms = []form{
+	{"cache-aware", func(data []int, p *cr.Plan, workers int) { C2R(data, p, Opts{Workers: workers}) }},
+	{"scatter", func(data []int, p *cr.Plan, _ int) { algorithm1C2R(data, p) }},
+	{"gather", func(data []int, p *cr.Plan, _ int) { gatherOnlyC2R(data, p) }},
+	{"closed-form", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).C2R(data) }},
+}
+
+// r2cForms are the ways the package runs an R2C transposition: the
+// Engine with the row kernel its shape selects, and with the closed-form
+// row kernel, the gather through d'.
+var r2cForms = []form{
+	{"cache-aware", func(data []int, p *cr.Plan, workers int) { R2C(data, p, Opts{Workers: workers}) }},
+	{"gather", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).R2C(data) }},
+}
+
+// gatherOnlyC2R is Algorithm 1 with the row shuffle gathered through
+// d'⁻¹ instead of scattered through d'.
+func gatherOnlyC2R(data []int, p *cr.Plan) {
+	tmp := make([]int, max(p.M, p.N))
+	if !p.Coprime {
+		rotateColumnsGatherRange(data, p.M, p.N, p.Rot, p.DivM(), tmp, 0, p.N)
+	}
+	rowShuffleGatherRange(data, p, tmp, 0, p.M)
+	columnShuffleGatherRange(data, p, tmp, 0, p.N)
+}
+
+// closedFormEngine builds an Engine for p that runs the closed-form row
+// kernels whatever p's shape.
+func closedFormEngine(p *cr.Plan, workers int) *Engine[int] {
+	eng := NewEngine[int](NewSchedule(p, Opts{Workers: workers}))
+	eng.row = rowClosedForm
+	return eng
+}
+
+// Every form of the transposition must be exact for every shape.
 func TestC2RAllVariantsExhaustive(t *testing.T) {
-	for _, v := range allVariants {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
+	for _, f := range c2rForms {
+		t.Run(f.name, func(t *testing.T) {
 			for m := 1; m <= 24; m++ {
 				for n := 1; n <= 24; n++ {
 					plan := cr.NewPlan(m, n)
 					data := seqSlice(m * n)
 					want := make([]int, m*n)
 					OutOfPlace(want, data, m, n)
-					C2R(data, plan, Opts{Variant: v, Workers: 1})
+					f.run(data, plan, 1)
 					if !equalSlices(data, want) {
-						t.Fatalf("m=%d n=%d: C2R %v wrong\n got %v\nwant %v", m, n, v, data, want)
+						t.Fatalf("m=%d n=%d: C2R %s wrong\n got %v\nwant %v", m, n, f.name, data, want)
 					}
 				}
 			}
@@ -108,18 +151,17 @@ func TestC2RAllVariantsExhaustive(t *testing.T) {
 
 // R2C with plan (m, n) transposes a row-major n×m array into m×n.
 func TestR2CAllVariantsExhaustive(t *testing.T) {
-	for _, v := range allVariants {
-		v := v
-		t.Run(v.String(), func(t *testing.T) {
+	for _, f := range r2cForms {
+		t.Run(f.name, func(t *testing.T) {
 			for m := 1; m <= 24; m++ {
 				for n := 1; n <= 24; n++ {
 					plan := cr.NewPlan(m, n)
 					data := seqSlice(m * n) // row-major n×m input
 					want := make([]int, m*n)
 					OutOfPlace(want, data, n, m)
-					R2C(data, plan, Opts{Variant: v, Workers: 1})
+					f.run(data, plan, 1)
 					if !equalSlices(data, want) {
-						t.Fatalf("m=%d n=%d: R2C %v wrong\n got %v\nwant %v", m, n, v, data, want)
+						t.Fatalf("m=%d n=%d: R2C %s wrong\n got %v\nwant %v", m, n, f.name, data, want)
 					}
 				}
 			}
@@ -127,7 +169,7 @@ func TestR2CAllVariantsExhaustive(t *testing.T) {
 	}
 }
 
-// R2C must invert C2R exactly, variant by variant and across variants.
+// R2C must invert C2R exactly, whichever forms run the two directions.
 func TestR2CInvertsC2RAcrossVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -138,73 +180,51 @@ func TestR2CInvertsC2RAcrossVariants(t *testing.T) {
 		for i := range orig {
 			orig[i] = rng.Int()
 		}
-		vc := allVariants[rng.Intn(len(allVariants))]
-		vr := allVariants[rng.Intn(len(allVariants))]
+		fc := c2rForms[rng.Intn(len(c2rForms))]
+		fr := r2cForms[rng.Intn(len(r2cForms))]
 		data := append([]int(nil), orig...)
-		C2R(data, plan, Opts{Variant: vc})
-		R2C(data, plan, Opts{Variant: vr})
+		fc.run(data, plan, 0)
+		fr.run(data, plan, 0)
 		if !equalSlices(data, orig) {
-			t.Fatalf("m=%d n=%d: R2C(%v) did not invert C2R(%v)", m, n, vr, vc)
+			t.Fatalf("m=%d n=%d: R2C(%s) did not invert C2R(%s)", m, n, fr.name, fc.name)
 		}
 	}
 }
 
-// Parallel execution must agree with sequential for every variant.
+// Parallel execution must agree with sequential, for either row kernel.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, v := range allVariants {
+	for _, closed := range []bool{false, true} {
 		for trial := 0; trial < 25; trial++ {
 			m := 1 + rng.Intn(80)
 			n := 1 + rng.Intn(80)
 			plan := cr.NewPlan(m, n)
+			seq := NewEngine[int](NewSchedule(plan, Opts{Workers: 1}))
+			parC2R := NewEngine[int](NewSchedule(plan, Opts{Workers: 7}))
+			parR2C := NewEngine[int](NewSchedule(plan, Opts{Workers: 5}))
+			if closed {
+				seq.row, parC2R.row, parR2C.row = rowClosedForm, rowClosedForm, rowClosedForm
+			}
 			seqData := make([]int, m*n)
 			for i := range seqData {
 				seqData[i] = rng.Int()
 			}
 			parData := append([]int(nil), seqData...)
-			C2R(seqData, plan, Opts{Variant: v, Workers: 1})
-			C2R(parData, plan, Opts{Variant: v, Workers: 7})
+			seq.C2R(seqData)
+			parC2R.C2R(parData)
 			if !equalSlices(seqData, parData) {
-				t.Fatalf("m=%d n=%d %v: parallel C2R differs from sequential", m, n, v)
+				t.Fatalf("m=%d n=%d closed-form %v: parallel C2R differs from sequential", m, n, closed)
 			}
-			R2C(seqData, plan, Opts{Variant: v, Workers: 1})
-			R2C(parData, plan, Opts{Variant: v, Workers: 5})
+			seq.R2C(seqData)
+			parR2C.R2C(parData)
 			if !equalSlices(seqData, parData) {
-				t.Fatalf("m=%d n=%d %v: parallel R2C differs from sequential", m, n, v)
+				t.Fatalf("m=%d n=%d closed-form %v: parallel R2C differs from sequential", m, n, closed)
 			}
 		}
 	}
 }
 
-// Skinny shapes large enough to trigger the banded sweeps (rather than
-// the general fallback) must still be exact.
-func TestSkinnyBandedPath(t *testing.T) {
-	shapes := [][2]int{
-		{4096, 2}, {4097, 3}, {5000, 4}, {6000, 7}, {4100, 8},
-		{9973, 5}, {8192, 16}, {7777, 31}, {5120, 32}, {4099, 24},
-	}
-	for _, sh := range shapes {
-		m, n := sh[0], sh[1]
-		plan := cr.NewPlan(m, n)
-		if !skinnyViable(plan) {
-			t.Fatalf("shape %dx%d should be skinny-viable", m, n)
-		}
-		data := seqSlice(m * n)
-		want := make([]int, m*n)
-		OutOfPlace(want, data, m, n)
-		C2R(data, plan, Opts{Variant: Skinny, Workers: 4})
-		if !equalSlices(data, want) {
-			t.Fatalf("%dx%d: skinny C2R wrong", m, n)
-		}
-		R2C(data, plan, Opts{Variant: Skinny, Workers: 4})
-		orig := seqSlice(m * n)
-		if !equalSlices(data, orig) {
-			t.Fatalf("%dx%d: skinny R2C did not invert", m, n)
-		}
-	}
-}
-
-// The cache-aware variant with tiny and odd block widths must stay exact.
+// The engine with tiny and odd block widths must stay exact.
 func TestCacheAwareBlockWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, bw := range []int{1, 2, 3, 5, 8, 13, 64} {
@@ -215,11 +235,11 @@ func TestCacheAwareBlockWidths(t *testing.T) {
 			data := seqSlice(m * n)
 			want := make([]int, m*n)
 			OutOfPlace(want, data, m, n)
-			C2R(data, plan, Opts{Variant: CacheAware, BlockW: bw, Workers: 3})
+			C2R(data, plan, Opts{BlockW: bw, Workers: 3})
 			if !equalSlices(data, want) {
 				t.Fatalf("m=%d n=%d bw=%d: cache-aware C2R wrong", m, n, bw)
 			}
-			R2C(data, plan, Opts{Variant: CacheAware, BlockW: bw, Workers: 3})
+			R2C(data, plan, Opts{BlockW: bw, Workers: 3})
 			if !equalSlices(data, seqSlice(m*n)) {
 				t.Fatalf("m=%d n=%d bw=%d: cache-aware R2C wrong", m, n, bw)
 			}
@@ -275,6 +295,11 @@ var rowKernelShapes = []struct {
 	{84, 60, "gcd 12, a = 7, b = 5, m > n", false},
 	{6, 4, "gcd 2, a = 3, b = 2, m > n", false},
 	{2, 3 << 20, "a = 1: rows longer than L2 at every width", true},
+	{4096, 2, "b = 1, m ≫ n: a skinny C2R plan", false},
+	{4097, 3, "coprime and skinny: a table of b = 3", false},
+	{8192, 16, "b = 1, 16 columns of 8192 rows", false},
+	{7777, 31, "coprime and skinny: a table of b = 31", false},
+	{4099, 24, "coprime and skinny: a table of b = 24", false},
 }
 
 // tileEdgeShapes are cr plan shapes (m×n) at the edges of the tiled
@@ -303,12 +328,12 @@ var tileEdgeShapes = []struct {
 	{64, 1000, "gcd 8, b = 125, multi-chunk"},
 }
 
-// tileEdgeCase runs C2R and R2C of one cache-aware engine against the
-// oracle, twice each so recycled scratch is exercised.
+// tileEdgeCase runs C2R and R2C of one engine against the oracle,
+// twice each so recycled scratch is exercised.
 func tileEdgeCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers, blockW int) {
 	t.Helper()
 	plan := cr.NewPlan(m, n)
-	eng := NewEngine[T](NewSchedule(plan, Opts{Variant: CacheAware, Workers: workers, BlockW: blockW}))
+	eng := NewEngine[T](NewSchedule(plan, Opts{Workers: workers, BlockW: blockW}))
 	rng := rand.New(rand.NewSource(int64(m*7919 + n)))
 	orig := make([]T, m*n)
 	for i := range orig {
@@ -360,10 +385,10 @@ func TestTileWidth(t *testing.T) {
 // scratchCase executes the engine for an m×n plan in both directions,
 // and checks the scratch its state holds afterwards against
 // PlanScratchBytes.
-func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers int, v Variant) {
+func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers int) {
 	t.Helper()
 	plan := cr.NewPlan(m, n)
-	o := Opts{Variant: v, Workers: workers}
+	o := Opts{Workers: workers}
 	if workers > 1 {
 		o.Pool = parallel.Shared()
 	}
@@ -383,52 +408,42 @@ func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers
 		widest = max(widest, cap(fr.tmp))
 		widestTab = max(widestTab, cap(fr.tab))
 	}
-	for _, saved := range [][][]T{st.savedPre, st.savedRot} {
-		for _, b := range saved {
-			held += cap(b) * es
-		}
-	}
-	name := fmt.Sprintf("%dx%d %v elem %d workers %d", m, n, v, es, workers)
+	name := fmt.Sprintf("%dx%d elem %d workers %d", m, n, es, workers)
 	if figure := PlanScratchBytes(plan, o, es); held > figure {
 		t.Errorf("%s: state holds %d bytes, PlanScratchBytes says %d", name, held, figure)
 	}
-	if w := eng.tileW; v == CacheAware && m > 1 && widest < max(n, m*w) {
+	if w := eng.tileW; m > 1 && widest < max(n, m*w) {
 		t.Errorf("%s: widest frame %d elements, want max(n, m·W) = %d", name, widest, max(n, m*w))
 	}
-	if want := rowTableBytes(m, n) / 4; v == CacheAware && widestTab != want {
+	if want := rowTableBytes(m, n) / 4; widestTab != want {
 		t.Errorf("%s: widest stride table %d entries, want %d", name, widestTab, want)
 	}
 }
 
 // PlanScratchBytes is the exact per-execution scratch bound of the
-// engines the planners build: executed states never hold more.
+// engine the planners build: executed states never hold more.
 func TestScratchBytesBoundsExecution(t *testing.T) {
 	for _, sh := range [][2]int{
 		{1, 1}, {2, 3}, {5, 7}, // tiny
-		{3, 4096}, {4096, 3}, {16, 20000}, {20000, 16}, // skinny
+		{3, 4096}, {4096, 3}, {16, 20000}, {20000, 16}, {20000, 6}, // skinny
 		{96, 100}, {250, 256}, {300, 300}, // near-square
 	} {
 		for _, workers := range []int{1, 2, 4} {
-			scratchCase[uint8](t, sh[0], sh[1], workers, CacheAware)
-			scratchCase[uint16](t, sh[0], sh[1], workers, CacheAware)
-			scratchCase[uint32](t, sh[0], sh[1], workers, CacheAware)
-			scratchCase[uint64](t, sh[0], sh[1], workers, CacheAware)
+			scratchCase[uint8](t, sh[0], sh[1], workers)
+			scratchCase[uint16](t, sh[0], sh[1], workers)
+			scratchCase[uint32](t, sh[0], sh[1], workers)
+			scratchCase[uint64](t, sh[0], sh[1], workers)
 		}
 	}
 	// More workers than rows: only m of them hold an n-element buffer.
-	scratchCase[uint64](t, 4, 20000, 8, CacheAware)
-	scratchCase[uint8](t, 4, 20000, 8, CacheAware)
-	// The other variants, the Skinny one with its band snapshots.
-	for _, v := range []Variant{Scatter, Gather, Skinny} {
-		scratchCase[uint32](t, 20000, 6, 4, v)
-		scratchCase[uint32](t, 96, 100, 4, v)
-	}
+	scratchCase[uint64](t, 4, 20000, 8)
+	scratchCase[uint8](t, 4, 20000, 8)
 }
 
 // Each plan shape selects one row-shuffle kernel. Plans with a, b > 1
 // and n > MaxInt32 cannot hold their table entries in int32: they run
-// the closed-form kernels of the Scatter and Gather variants, and their
-// scratch figure holds no table.
+// the closed-form kernels of passes.go, and their scratch figure holds
+// no table.
 func TestRowKernelKinds(t *testing.T) {
 	for _, c := range []struct {
 		m, n int
@@ -462,8 +477,7 @@ func TestRowKernelKinds(t *testing.T) {
 	// The closed-form kernels stay exact when an engine selects them.
 	for _, sh := range [][2]int{{97, 101}, {60, 84}, {84, 60}, {6, 4}} {
 		m, n := sh[0], sh[1]
-		eng := NewEngine[int](NewSchedule(cr.NewPlan(m, n), Opts{Variant: CacheAware, Workers: 2}))
-		eng.row = rowClosedForm
+		eng := closedFormEngine(cr.NewPlan(m, n), 2)
 		data := seqSlice(m * n)
 		want := make([]int, m*n)
 		OutOfPlace(want, data, m, n)
@@ -497,17 +511,19 @@ func TestScratchBytesSaturates(t *testing.T) {
 
 // Degenerate shapes: single row, single column, single element, square.
 func TestDegenerateShapes(t *testing.T) {
-	for _, v := range allVariants {
-		for _, sh := range [][2]int{{1, 1}, {1, 17}, {17, 1}, {8, 8}, {1, 2}, {2, 1}} {
-			m, n := sh[0], sh[1]
-			plan := cr.NewPlan(m, n)
-			data := seqSlice(m * n)
-			want := make([]int, m*n)
-			OutOfPlace(want, data, m, n)
-			C2R(data, plan, Opts{Variant: v})
-			if !equalSlices(data, want) {
-				t.Fatalf("%dx%d %v: degenerate C2R wrong: %v", m, n, v, data)
-			}
+	for _, sh := range [][2]int{{1, 1}, {1, 17}, {17, 1}, {8, 8}, {1, 2}, {2, 1}} {
+		m, n := sh[0], sh[1]
+		plan := cr.NewPlan(m, n)
+		data := seqSlice(m * n)
+		want := make([]int, m*n)
+		OutOfPlace(want, data, m, n)
+		C2R(data, plan, Opts{})
+		if !equalSlices(data, want) {
+			t.Fatalf("%dx%d: degenerate C2R wrong: %v", m, n, data)
+		}
+		R2C(data, plan, Opts{})
+		if !equalSlices(data, seqSlice(m*n)) {
+			t.Fatalf("%dx%d: degenerate R2C wrong: %v", m, n, data)
 		}
 	}
 }
@@ -529,30 +545,7 @@ func TestEngineLengthPanics(t *testing.T) {
 	}
 }
 
-func TestUnknownVariantPanics(t *testing.T) {
-	plan := cr.NewPlan(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on unknown variant")
-		}
-	}()
-	C2R(make([]int, 4), plan, Opts{Variant: Variant(99)})
-}
-
-func TestVariantString(t *testing.T) {
-	want := map[Variant]string{
-		Scatter: "scatter", Gather: "gather",
-		CacheAware: "cache-aware", Skinny: "skinny",
-		Variant(42): "Variant(42)",
-	}
-	for v, s := range want {
-		if v.String() != s {
-			t.Errorf("Variant(%d).String() = %q, want %q", int(v), v.String(), s)
-		}
-	}
-}
-
-// Different element types: the engines are generic.
+// Different element types: the engine is generic.
 func TestGenericElementTypes(t *testing.T) {
 	m, n := 5, 8
 	plan := cr.NewPlan(m, n)
@@ -563,7 +556,7 @@ func TestGenericElementTypes(t *testing.T) {
 	}
 	wantF := make([]float64, m*n)
 	OutOfPlace(wantF, f, m, n)
-	C2R(f, plan, Opts{Variant: Gather})
+	C2R(f, plan, Opts{Workers: 1})
 	for i := range f {
 		if f[i] != wantF[i] {
 			t.Fatalf("float64 transpose wrong at %d", i)
@@ -577,7 +570,7 @@ func TestGenericElementTypes(t *testing.T) {
 	}
 	wantP := make([]pair, m*n)
 	OutOfPlace(wantP, ps, m, n)
-	C2R(ps, plan, Opts{Variant: CacheAware})
+	C2R(ps, plan, Opts{Workers: 2})
 	for i := range ps {
 		if ps[i] != wantP[i] {
 			t.Fatalf("struct transpose wrong at %d", i)

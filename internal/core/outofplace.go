@@ -1,13 +1,25 @@
-// Package core implements the in-place transposition engines of the
-// paper: the sequential Algorithm 1 (scatter-based), the gather-only
-// parallel CPU formulation (§5.1), the cache-aware formulation with
-// coarse/fine rotations and cycle-following row permutes (§4.6, §4.7,
-// §5.2), and the skinny specialization for AoS↔SoA conversion (§6.1).
+// Package core implements the in-place transposition engine of the
+// paper. Engine runs the C2R and R2C transpositions in at most three
+// sweeps over the matrix, two when gcd(m,n) = 1: the column operations
+// as one-sweep tiled gathers through the closed-form source rows, with
+// the column shuffle's rotation and row permutation fused (§4.6, §4.7,
+// §5.2; tile.go), and the row shuffle as a rotation, a blocked
+// interleave or a gather through one shared stride table, by shape
+// (rowshuffle.go). With the planner's direction heuristic, skinny
+// AoS↔SoA shapes keep every column operation within their tiny
+// dimension, which is the §6.1 specialization.
 //
-// All engines operate on a flat slice holding a row-major m×n array and
-// permute it so that afterwards the same slice holds the row-major n×m
-// transpose (Theorem 1: the C2R permutation, applied with row-major
-// indexing, linearizes the transpose). The R2C engines apply the exact
+// The package also keeps reproduction code: the elementary passes of
+// Algorithm 1 and its gather-only form (passes.go, composed by
+// algorithm1C2R; the Engine borrows only the closed-form row kernels,
+// for plans whose stride table would overflow int32), and the
+// coarse/fine column kernels behind the Pass* entry points
+// (cacheaware.go).
+//
+// Every transposition operates on a flat slice holding a row-major m×n
+// array and permutes it so that afterwards the same slice holds the
+// row-major n×m transpose (Theorem 1: the C2R permutation, applied with
+// row-major indexing, linearizes the transpose). R2C applies the exact
 // inverse permutation.
 package core
 

@@ -8,14 +8,16 @@ import (
 
 // This file implements the elementary permutation passes of Algorithm 1
 // and its gather-only variant (§4.2, §4.3, §5.1). Each pass permutes the
-// flat row-major m×n buffer along rows or columns only; engines compose
-// passes into full C2R/R2C transpositions.
+// flat row-major m×n buffer along rows or columns only. The Engine runs
+// the tiled passes of tile.go and the row kernels of rowshuffle.go; it
+// reaches the closed-form row kernels here only for plans whose stride
+// table would overflow int32. Everything else in this file is
+// reproduction code: algorithm1C2R composes Algorithm 1 for the
+// Theorem 7 test, and the ablation benchmarks time the passes one by
+// one.
 //
 // Every pass is written as a range kernel over [lo, hi) taking its
-// O(max(m,n)) scratch from the caller, so the same code serves both the
-// legacy one-shot entry points (which allocate scratch per call) and the
-// reusable Engine (which draws scratch from a recycled arena and reaches
-// a zero-allocation steady state).
+// O(max(m,n)) scratch from the caller.
 
 // rotateColumnsGatherRange applies a per-column rotation as a gather for
 // columns [lo, hi): column j becomes col'[i] = col[(i + amount(j)) mod m].
@@ -71,7 +73,7 @@ func rowShuffleScatterRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
 
 // rowShuffleGatherRange is the gather formulation of the row shuffle
 // using the closed-form inverse d'^{-1}_i (Equation 31), preferred on
-// hardware where gathers outperform scatters (§4.2).
+// hardware where gathers outperform scatters (§4.2). No Engine runs it.
 //
 //xpose:hotpath
 func rowShuffleGatherRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) {
@@ -119,8 +121,8 @@ func columnShuffleGatherRange[T any](data []T, p *cr.Plan, tmp []T, lo, hi int) 
 }
 
 // rowPermuteGatherNaiveRange permutes whole rows, out[i] = in[permf(i)],
-// by gathering column-by-column over columns [lo, hi). The cache-aware
-// engine replaces this with whole-sub-row cycle following (§4.7). tmp
+// by gathering column-by-column over columns [lo, hi). The coarse/fine
+// kernels replace this with whole-sub-row cycle following (§4.7). tmp
 // must hold at least m elements.
 //
 //xpose:hotpath
@@ -141,4 +143,19 @@ func rowPermuteGatherNaive[T any](data []T, m, n int, permf func(i int) int, wor
 	parallel.For(n, workers, func(_, lo, hi int) {
 		rowPermuteGatherNaiveRange(data, m, n, permf, make([]T, m), lo, hi)
 	})
+}
+
+// algorithm1C2R is the paper's Algorithm 1, one-shot and sequential:
+// the gather pre-rotation (only when gcd(m,n) > 1), the scatter row
+// shuffle through d'_i and the gather column shuffle through s'_j. It is
+// reproduction code for the Theorem 7 test and the ablation benchmarks;
+// no Engine runs it.
+func algorithm1C2R[T any](data []T, p *cr.Plan) {
+	m, n := p.M, p.N
+	tmp := make([]T, max(m, n))
+	if !p.Coprime {
+		rotateColumnsGatherRange(data, m, n, p.Rot, p.DivM(), tmp, 0, n)
+	}
+	rowShuffleScatterRange(data, p, tmp, 0, m)
+	columnShuffleGatherRange(data, p, tmp, 0, n)
 }

@@ -7,7 +7,7 @@ import (
 	"inplace/internal/mathutil"
 )
 
-// This file implements the row shuffle of the cache-aware pipeline.
+// This file implements the row shuffle of the Engine.
 // Writing j = k·b + r with k < c and r < b, Equation 24 becomes
 //
 //	d'_i(k·b + r) = ((i + k) mod m + c·((r·a) mod b)) mod n,
@@ -34,8 +34,8 @@ import (
 //     fills it per execution with O(b) adds.
 //
 // Plans with a, b > 1 and n > math.MaxInt32, whose table entries would
-// not fit in int32, run the closed-form kernels of the Scatter and
-// Gather variants instead.
+// not fit in int32, run the closed-form kernels of passes.go instead:
+// the scatter through d'_i for C2R and the gather through d'_i for R2C.
 
 // rowKind is the row-shuffle kernel a plan's shape selects.
 type rowKind int

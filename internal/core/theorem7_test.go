@@ -8,7 +8,7 @@ import (
 
 // c2rColMajorIndexed runs Algorithm 1 addressing the buffer with
 // column-major indexing (element (i,j) at offset i + j*m) instead of the
-// row-major indexing the engines use.
+// row-major indexing of algorithm1C2R.
 func c2rColMajorIndexed(data []int, p *cr.Plan) {
 	m, n := p.M, p.N
 	at := func(i, j int) int { return data[i+j*m] }
@@ -46,15 +46,15 @@ func c2rColMajorIndexed(data []int, p *cr.Plan) {
 // Theorem 7: the linearization assumed while performing the C2R
 // transpose does not affect the permutation it induces — running the
 // three passes with column-major indexing yields the same linear result
-// as the row-major engines, even though every intermediate state
-// differs.
+// as running them with row-major indexing, even though every
+// intermediate state differs.
 func TestTheorem7LinearizationIndependence(t *testing.T) {
 	for m := 1; m <= 20; m++ {
 		for n := 1; n <= 20; n++ {
 			p := cr.NewPlan(m, n)
 			rowIndexed := seqSlice(m * n)
 			colIndexed := seqSlice(m * n)
-			C2R(rowIndexed, p, Opts{Variant: Scatter})
+			algorithm1C2R(rowIndexed, p)
 			c2rColMajorIndexed(colIndexed, p)
 			if !equalSlices(rowIndexed, colIndexed) {
 				t.Fatalf("m=%d n=%d: linearization changed the permutation\nrow-indexed %v\ncol-indexed %v",

@@ -9,8 +9,8 @@ import (
 	"inplace/internal/parallel"
 )
 
-// This file implements the column passes of the cache-aware pipeline as
-// one-sweep tiled gathers. Every column operation of the decomposition
+// This file implements the column passes of the Engine as one-sweep
+// tiled gathers. Every column operation of the decomposition
 // permutes each column independently, and the paper gives each one a
 // closed-form source row:
 //
@@ -39,8 +39,8 @@ const (
 // intBytes is the size of one rotation-amount entry.
 const intBytes = int(unsafe.Sizeof(int(0)))
 
-// TileWidth resolves the column-tile width of the cache-aware column
-// passes for an m×n plan of elemSize-byte elements. A positive blockW is
+// TileWidth resolves the column-tile width of the tiled column passes
+// for an m×n plan of elemSize-byte elements. A positive blockW is
 // taken as given; otherwise
 //
 //	W = max(64/elemSize, min(65536/(m·elemSize), max(m,n)/m)),
@@ -75,9 +75,7 @@ func TileWidth(m, n, elemSize, blockW int) int {
 //
 //	r·(max(n, m·w)·elemSize + T) + (workers − r)·m·w·elemSize + workers·w·8.
 //
-// It bounds the Scatter, Gather and CacheAware variants; PlanScratchBytes
-// adds the Skinny variant's band snapshots. It saturates at math.MaxInt,
-// which no budget admits.
+// It saturates at math.MaxInt, which no budget admits.
 func ScratchBytes(m, n, elemSize, workers, w int) int {
 	workers = max(workers, 1)
 	r := min(workers, max(m, 1))
@@ -89,20 +87,9 @@ func ScratchBytes(m, n, elemSize, workers, w int) int {
 
 // PlanScratchBytes is the scratch one execution of the engine for plan p
 // under options o holds with elemSize-byte elements: ScratchBytes at the
-// resolved worker count and tile width, plus the band snapshots of the
-// Skinny variant when the plan runs its banded sweeps. It saturates at
-// math.MaxInt.
+// resolved worker count and tile width. It saturates at math.MaxInt.
 func PlanScratchBytes(p *cr.Plan, o Opts, elemSize int) int {
-	m, n := p.M, p.N
-	workers := parallel.Workers(o.Workers)
-	b := ScratchBytes(m, n, elemSize, workers, TileWidth(m, n, elemSize, o.BlockW))
-	if o.Variant == Skinny && skinnyViable(p) {
-		for _, band := range [2]int{p.C - 1, n - 1} {
-			chunks := len(parallel.Bounds(m, workers, max(band, 1))) - 1
-			b = satAdd(b, satMul(satMul(chunks, band*n), elemSize))
-		}
-	}
-	return b
+	return ScratchBytes(p.M, p.N, elemSize, parallel.Workers(o.Workers), TileWidth(p.M, p.N, elemSize, o.BlockW))
 }
 
 // satMul and satAdd multiply and add non-negative ints, saturating at

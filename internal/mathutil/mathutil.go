@@ -10,7 +10,14 @@
 // paper describes.
 package mathutil
 
-import "math/bits"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"strconv"
+	"strings"
+)
 
 // GCD returns the greatest common divisor of a and b.
 // GCD(0, 0) is defined as 0.
@@ -168,4 +175,32 @@ func CheckedMul(a, b int) (int, bool) {
 		return 0, false
 	}
 	return p, true
+}
+
+// ErrSize reports a byte size ParseSize rejects.
+var ErrSize = errors.New("bad size")
+
+// ParseSize parses a byte size given in bytes or with a k, m or g suffix
+// (KiB, MiB, GiB; either case, surrounding space ignored), as the CLIs
+// take their budgets. Negative sizes and sizes past math.MaxInt64 bytes
+// are errors wrapping ErrSize, not wrapped values.
+func ParseSize(spec string) (int64, error) {
+	s := strings.ToLower(strings.TrimSpace(spec))
+	mul := int64(1)
+	switch {
+	case strings.HasSuffix(s, "k"):
+		mul, s = 1<<10, strings.TrimSuffix(s, "k")
+	case strings.HasSuffix(s, "m"):
+		mul, s = 1<<20, strings.TrimSuffix(s, "m")
+	case strings.HasSuffix(s, "g"):
+		mul, s = 1<<30, strings.TrimSuffix(s, "g")
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%w %q: %v", ErrSize, spec, err)
+	}
+	if n < 0 || n > math.MaxInt64/mul {
+		return 0, fmt.Errorf("%w %q: want 0 to %d bytes", ErrSize, spec, int64(math.MaxInt64))
+	}
+	return n * mul, nil
 }

@@ -13,7 +13,6 @@ package server
 import (
 	"bufio"
 	"errors"
-	"hash/crc64"
 	"io"
 	"math"
 	"net"
@@ -36,9 +35,6 @@ var errBadElem = errors.New("server: invalid shape or element width")
 // accept; the connection is closed because the stream position is no
 // longer trustworthy.
 var errBadSequence = errors.New("server: protocol sequence violation")
-
-// crcTab is the CRC64-ECMA table used for result checksums.
-var crcTab = crc64.MakeTable(crc64.ECMA)
 
 // bufPool recycles data-plane buffers. It stores *[]byte (never bare
 // slices) so Put does not box a new header allocation per cycle.
@@ -537,7 +533,7 @@ func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 		return s.writeError(bw, hdr, code, 0, xerr.Error())
 	}
 
-	return s.sendResult(bw, hdr, token, wire.ModeMemory, crc64.Checksum(buf, crcTab), func(yield func([]byte) error) error {
+	return s.sendResult(bw, hdr, token, wire.ModeMemory, wire.ResultCRC(0, buf), func(yield func([]byte) error) error {
 		for off := int64(0); off < g.total; off += int64(s.cfg.MaxData) {
 			end := off + int64(s.cfg.MaxData)
 			if end > g.total {
@@ -726,7 +722,7 @@ func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j 
 	defer putBuf(chunkp)
 	chunk := *chunkp
 
-	h := crc64.New(crcTab)
+	var crc uint64
 	for off := int64(0); off < j.total; {
 		n := int64(len(chunk))
 		if off+n > j.total {
@@ -735,11 +731,11 @@ func (s *Server) sendSpillResult(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, j 
 		if _, err := f.ReadAt(chunk[:n], off); err != nil {
 			return s.writeError(bw, hdr, wire.CodeInternal, 0, err.Error())
 		}
-		h.Write(chunk[:n])
+		crc = wire.ResultCRC(crc, chunk[:n])
 		off += n
 	}
 
-	return s.sendResult(bw, hdr, token, wire.ModeSpill, h.Sum64(), func(yield func([]byte) error) error {
+	return s.sendResult(bw, hdr, token, wire.ModeSpill, crc, func(yield func([]byte) error) error {
 		for off := int64(0); off < j.total; {
 			n := int64(len(chunk))
 			if off+n > j.total {

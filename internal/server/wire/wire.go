@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"io"
 )
 
@@ -377,12 +378,21 @@ func (m *Accept) Unmarshal(p []byte) error {
 const ResultLen = 17
 
 // Result announces a completed job; CRC is the CRC64-ECMA of the
-// transposed payload about to stream back in Data frames.
+// transposed payload about to stream back in Data frames (see
+// ResultCRC).
 type Result struct {
 	Token uint64
 	Mode  uint8
 	CRC   uint64
 }
+
+// crcTable is the CRC64-ECMA table of the Result checksum.
+var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// ResultCRC extends crc, the Result checksum of the payload bytes before
+// p, over p. A whole payload's checksum is ResultCRC(0, payload); a
+// payload read in chunks folds them in order.
+func ResultCRC(crc uint64, p []byte) uint64 { return crc64.Update(crc, crcTable, p) }
 
 // Marshal encodes into b.
 func (m Result) Marshal(b *[ResultLen]byte) {

@@ -252,3 +252,16 @@ func TestErrorMsgTruncatesOversizeMessage(t *testing.T) {
 		t.Fatalf("truncated-message payload does not decode: %v", err)
 	}
 }
+
+// ResultCRC is CRC64-ECMA as both ends have always computed it: the
+// catalogued check value of "123456789", and a chunked fold equals the
+// one-shot sum.
+func TestResultCRC(t *testing.T) {
+	check := []byte("123456789")
+	if got := ResultCRC(0, check); got != 0x995dc9bbdf1939fa {
+		t.Fatalf("ResultCRC(123456789) = %#x, want 0x995dc9bbdf1939fa", got)
+	}
+	if got := ResultCRC(ResultCRC(ResultCRC(0, check[:2]), check[2:7]), check[7:]); got != ResultCRC(0, check) {
+		t.Fatalf("chunked ResultCRC = %#x, want %#x", got, ResultCRC(0, check))
+	}
+}

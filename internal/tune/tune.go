@@ -14,12 +14,10 @@
 //
 // TuneFor is the 2D tuner. Its search is staged rather than exhaustive,
 // the FFTW-wisdom pattern scaled to this candidate space: stage 1 races
-// every (direction, pipeline) pair — scatter, gather, cache-aware and
-// the skinny banded specialization, C2R and R2C — at the full worker
-// budget, stage 2 sweeps the worker ladder for the winning pipeline,
-// and stage 3 sweeps the cache-aware tile width when the winner uses
-// one. The permutation, out-of-core and tile-store tuners live in the
-// public package and run the same Search.
+// the C2R and R2C directions at the full worker budget, stage 2 sweeps
+// the worker ladder for the winning direction, and stage 3 sweeps the
+// tile width. The permutation, out-of-core and tile-store tuners live
+// in the public package and run the same Search.
 package tune
 
 import (
@@ -36,10 +34,9 @@ import (
 
 // Candidate is one point of the search space.
 type Candidate struct {
-	C2R     bool         // pipeline direction
-	Variant core.Variant // pass structure
-	Workers int          // goroutines
-	BlockW  int          // cache-aware tile width, 0 = derived
+	C2R     bool // pipeline direction
+	Workers int  // goroutines
+	BlockW  int  // tile width, 0 = derived
 }
 
 func (c Candidate) String() string {
@@ -47,7 +44,7 @@ func (c Candidate) String() string {
 	if c.C2R {
 		dir = "C2R"
 	}
-	return fmt.Sprintf("%s/%v/w%d/b%d", dir, c.Variant, c.Workers, c.BlockW)
+	return fmt.Sprintf("%s/w%d/b%d", dir, c.Workers, c.BlockW)
 }
 
 // Config bounds a tuning run. The zero value gets sensible defaults; a
@@ -59,8 +56,8 @@ type Config struct {
 	// MeasureOpts times each candidate: the median of Reps samples, each
 	// batched to MinSample, within MaxTotal per candidate.
 	MeasureOpts
-	// BlockWidths is the stage-3 sweep of tile widths for cache-aware
-	// winners; 0 entries mean the derived width. nil means {0, 16, 32}.
+	// BlockWidths is the stage-3 sweep of tile widths; 0 entries mean
+	// the derived width. nil means {0, 16, 32}.
 	BlockWidths []int
 	// Cost, when non-nil, replaces wall-clock measurement (Search.Cost).
 	Cost func(Candidate) float64
@@ -78,17 +75,13 @@ func Smoke() Config {
 }
 
 // HeuristicCandidate returns the choice the static planner heuristic
-// would make for the shape under the given budget: the cache-aware
-// pipeline in the direction with the shorter internal columns, all
-// workers, derived tile width. The tuner seeds its search with it so
-// a tuned process can never regress below the heuristic by more than
-// measurement noise — if nothing beats it, it wins.
+// would make for the shape under the given budget: the direction with
+// the shorter internal columns, all workers, derived tile width. The
+// tuner seeds its search with it so a tuned process can never regress
+// below the heuristic by more than measurement noise — if nothing beats
+// it, it wins.
 func HeuristicCandidate(rows, cols, maxWorkers int) Candidate {
-	return Candidate{
-		C2R:     rows <= cols,
-		Variant: core.CacheAware,
-		Workers: parallel.Workers(maxWorkers),
-	}
+	return Candidate{C2R: rows <= cols, Workers: parallel.Workers(maxWorkers)}
 }
 
 // ErrShape reports non-positive tuning dimensions.
@@ -123,33 +116,28 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		data = make([]T, size)
 	}
 	s := Search[Candidate]{Opts: cfg.MeasureOpts, Cost: cfg.Cost, Run: func(c Candidate) (func() error, error) {
-		opts := core.Opts{Workers: c.Workers, Variant: c.Variant, BlockW: c.BlockW}
+		opts := core.Opts{Workers: c.Workers, BlockW: c.BlockW}
 		if parallel.Workers(c.Workers) > 1 {
 			opts.Pool = parallel.Shared()
 		}
 		eng := core.NewEngine[T](core.NewSchedule(plans[c.C2R], opts))
-		// The pipelines are data-independent permutations, so timing does
-		// not care that successive runs keep permuting the buffer.
+		// The transpositions are data-independent permutations, so timing
+		// does not care that successive runs keep permuting the buffer.
 		if c.C2R {
 			return func() error { eng.C2R(data); return nil }, nil
 		}
 		return func() error { eng.R2C(data); return nil }, nil
 	}}
 
-	// Stage 1: direction × pipeline at full budget, seeded with the
-	// heuristic's own choice.
-	s.Try(HeuristicCandidate(rows, cols, budget))
-	for _, c2r := range []bool{true, false} {
-		for _, v := range core.Variants() {
-			if v == core.Skinny && !core.SkinnyViable(plans[c2r]) {
-				continue // engine would silently run cache-aware: not distinct
-			}
-			s.Try(Candidate{C2R: c2r, Variant: v, Workers: budget})
-		}
-	}
+	// Stage 1: both directions at full budget, the heuristic's own
+	// choice first so that it wins a tie.
+	h := HeuristicCandidate(rows, cols, budget)
+	s.Try(h)
+	h.C2R = !h.C2R
+	s.Try(h)
 
-	// Stage 2: worker ladder for the winning pipeline — powers of two up
-	// to the budget, plus the budget itself.
+	// Stage 2: worker ladder for the winning direction — powers of two
+	// up to the budget, plus the budget itself.
 	best, _, _ := s.Best()
 	for w := 1; w <= budget; w *= 2 {
 		best.Workers = w
@@ -158,21 +146,18 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 	best.Workers = budget
 	s.Try(best)
 
-	// Stage 3: cache-aware tile width. Only the cache-aware pipeline
-	// consumes it (the skinny permute spans whole rows, scatter/gather
-	// use no tiling).
-	if best, _, _ = s.Best(); best.Variant == core.CacheAware {
-		for _, bw := range blockWidths {
-			best.BlockW = bw
-			s.Try(best)
-		}
+	// Stage 3: tile width.
+	best, _, _ = s.Best()
+	for _, bw := range blockWidths {
+		best.BlockW = bw
+		s.Try(best)
 	}
 
 	best, ns, err := s.Best()
 	if err != nil {
 		return Decision{}, err
 	}
-	d := Decision{Variant: best.Variant.String(), C2R: best.C2R, Workers: best.Workers, BlockW: best.BlockW}
+	d := Decision{Variant: "cache-aware", C2R: best.C2R, Workers: best.Workers, BlockW: best.BlockW}
 	if ns > 0 {
 		var elem T
 		bytes := 2 * float64(rows) * float64(cols) * float64(unsafe.Sizeof(elem))

@@ -2,8 +2,6 @@ package tune
 
 import (
 	"testing"
-
-	"inplace/internal/core"
 )
 
 // costPreferring returns a deterministic cost function that makes
@@ -18,21 +16,19 @@ func costPreferring(pred func(Candidate) bool) func(Candidate) float64 {
 }
 
 func TestTuneForFollowsMeasurement(t *testing.T) {
-	// 120x96 is square-ish and non-coprime: all four variants and both
-	// directions are live candidates. Force the measurement to prefer a
-	// choice the static heuristic (C2R cache-aware) would never make.
+	// 120x96 is square-ish and non-coprime: both directions are live
+	// candidates. Force the measurement to prefer the direction the
+	// static heuristic (R2C, since rows > cols) would never pick.
 	cfg := Config{
 		MaxWorkers: 1,
-		Cost: costPreferring(func(c Candidate) bool {
-			return !c.C2R && c.Variant == core.Scatter
-		}),
+		Cost:       costPreferring(func(c Candidate) bool { return c.C2R }),
 	}
 	d, err := TuneFor[uint64](120, 96, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Variant != "scatter" || d.C2R {
-		t.Fatalf("tuner ignored measurement: got %+v, want R2C scatter", d)
+	if d.Variant != "cache-aware" || !d.C2R {
+		t.Fatalf("tuner ignored measurement: got %+v, want C2R cache-aware", d)
 	}
 }
 
@@ -61,9 +57,6 @@ func TestTuneForBlockWidthSweep(t *testing.T) {
 	cfg := Config{
 		MaxWorkers: 1,
 		Cost: func(c Candidate) float64 {
-			if c.Variant != core.CacheAware {
-				return 1000
-			}
 			if c.BlockW == 16 {
 				return 1
 			}
@@ -76,32 +69,6 @@ func TestTuneForBlockWidthSweep(t *testing.T) {
 	}
 	if d.Variant != "cache-aware" || d.BlockW != 16 {
 		t.Fatalf("block sweep got %+v, want cache-aware blockw=16", d)
-	}
-}
-
-func TestTuneForSkinnyGatedByViability(t *testing.T) {
-	// A square shape is never skinny-viable; even a cost function that
-	// would make skinny free must not select it, because the engine
-	// would silently run cache-aware instead.
-	cfg := Config{
-		MaxWorkers: 1,
-		Cost:       costPreferring(func(c Candidate) bool { return c.Variant == core.Skinny }),
-	}
-	d, err := TuneFor[uint64](128, 128, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Variant == "skinny" {
-		t.Fatalf("tuner selected skinny for a non-skinny shape: %+v", d)
-	}
-
-	// A genuinely skinny shape keeps it in the candidate set.
-	d, err = TuneFor[uint64](4096, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Variant != "skinny" {
-		t.Fatalf("tuner dropped skinny for a skinny shape: %+v", d)
 	}
 }
 
@@ -130,10 +97,10 @@ func TestTuneForRejectsBadShape(t *testing.T) {
 }
 
 func TestHeuristicCandidateMirrorsPlanner(t *testing.T) {
-	// rows <= cols → C2R, otherwise R2C; always cache-aware.
+	// rows <= cols → C2R, otherwise R2C, on the full budget.
 	c := HeuristicCandidate(100, 200, 1)
-	if !c.C2R || c.Variant != core.CacheAware {
-		t.Fatalf("HeuristicCandidate(100, 200) = %+v, want C2R cache-aware", c)
+	if !c.C2R || c.Workers != 1 || c.BlockW != 0 {
+		t.Fatalf("HeuristicCandidate(100, 200) = %+v, want C2R on 1 worker", c)
 	}
 	c = HeuristicCandidate(200, 100, 1)
 	if c.C2R {

@@ -10,7 +10,6 @@ import (
 	"maps"
 	"slices"
 
-	"inplace/internal/core"
 	"inplace/internal/tensor"
 )
 
@@ -114,8 +113,12 @@ func Log2(v int64) int {
 // Decision is the measured-optimal way to run one Key. Each kind reads
 // only its own fields; the rest stay zero.
 type Decision struct {
-	// Variant is the algorithm: a core.Variant name for Transpose, a
-	// tensor.Strategy* name for Permute.
+	// Variant is the algorithm. For Permute it is a tensor.Strategy*
+	// name. For Transpose it names the pipeline the decision was
+	// measured on: TuneFor records "cache-aware", and files from before
+	// the engine had one pipeline may hold any of transposeVariants.
+	// Planning reads a 2D decision's direction, workers and tile width,
+	// not its variant.
 	Variant string
 	C2R     bool  // Transpose: the C2R pipeline, false for R2C
 	Workers int   // every kind: measured-best worker count
@@ -127,16 +130,15 @@ type Decision struct {
 	GBps float64
 }
 
-// CoreVariant resolves a Transpose decision's variant name.
-func (d Decision) CoreVariant() (core.Variant, bool) { return core.ParseVariant(d.Variant) }
+// transposeVariants are the pipeline names a 2D decision may record.
+var transposeVariants = []string{"scatter", "gather", "cache-aware", "skinny"}
 
 // validate checks one entry read from a file.
 func validate(k Key, d Decision) error {
 	var ok bool
 	switch k.Kind {
 	case KindTranspose:
-		_, variantOK := d.CoreVariant()
-		ok = k.Rows > 0 && k.Cols > 0 && k.Budget > 0 && variantOK && d.BlockW >= 0
+		ok = k.Rows > 0 && k.Cols > 0 && k.Budget > 0 && slices.Contains(transposeVariants, d.Variant) && d.BlockW >= 0
 	case KindOOC:
 		ok = k.Rows > 0 && k.Cols > 0 && k.Budget >= 1 && k.Budget <= 62 && d.Chunk > 0 && d.Depth > 0
 	case KindPermute:

@@ -176,7 +176,7 @@ func TestPermuteAxesRank2MatchesTranspose(t *testing.T) {
 	}
 	got, want := pp.steps[0].plan, p2d.Plan()
 	if got.Rows() != want.Rows() || got.Cols() != want.Cols() ||
-		got.UsesC2R() != want.UsesC2R() || got.Method() != want.Method() {
+		got.UsesC2R() != want.UsesC2R() || got.Workers() != want.Workers() {
 		t.Fatalf("rank-2 step plan %v diverges from Transpose plan %v", got, want)
 	}
 }

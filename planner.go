@@ -11,11 +11,10 @@ import (
 
 // Planner binds a Plan to an element type and owns everything repeated
 // executions of the same shape can share: the precomputed pass schedule
-// (chunk partitions, rotation closures, fixed-point divisors), the
-// column-tile geometry for its element size, the lazily-built cycle
-// decomposition of the skinny pipeline's row permutation q, a
-// recycled scratch arena sized for the plan, and — for multi-worker
-// plans — the process-wide persistent worker pool. After the first
+// (chunk partitions, fixed-point divisors), the column-tile geometry and
+// row-shuffle kernel for its element size, a recycled scratch arena
+// sized for the plan, and — for multi-worker plans — the process-wide
+// persistent worker pool. After the first
 // Execute has warmed the arena, subsequent Executes perform no heap
 // allocation at all.
 //

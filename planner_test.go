@@ -23,14 +23,12 @@ func TestPlannerMatchesReference(t *testing.T) {
 	shapes := []struct{ rows, cols int }{
 		{97, 101}, {96, 120}, {64, 64}, {2000, 4}, {4, 2000}, {1, 17}, {17, 1},
 	}
-	methods := []inplace.Method{
-		inplace.Auto, inplace.Algorithm1, inplace.GatherOnly,
-		inplace.CacheAware, inplace.SkinnyMethod,
-	}
+	dirs := []inplace.Direction{inplace.HeuristicDirection, inplace.ForceC2R, inplace.ForceR2C}
 	for _, sh := range shapes {
-		for _, m := range methods {
+		for _, dir := range dirs {
 			for _, workers := range []int{1, 4} {
-				pl, err := inplace.NewPlanner[uint64](sh.rows, sh.cols, inplace.Options{Method: m, Workers: workers})
+				o := inplace.Options{Direction: dir, Workers: workers}
+				pl, err := inplace.NewPlanner[uint64](sh.rows, sh.cols, o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -47,13 +45,13 @@ func TestPlannerMatchesReference(t *testing.T) {
 					}
 					for i := range data {
 						if data[i] != want[i] {
-							t.Fatalf("%dx%d %v workers=%d round %d: wrong at %d",
-								sh.rows, sh.cols, m, workers, round, i)
+							t.Fatalf("%dx%d direction %d workers=%d round %d: wrong at %d",
+								sh.rows, sh.cols, dir, workers, round, i)
 						}
 					}
 					copy(data, want)
 					want = transposeRef(data, sh.cols, sh.rows)
-					pl2, err := inplace.NewPlanner[uint64](sh.cols, sh.rows, inplace.Options{Method: m, Workers: workers})
+					pl2, err := inplace.NewPlanner[uint64](sh.cols, sh.rows, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,16 +81,16 @@ func TestPlannerErrors(t *testing.T) {
 // TestPlannerSharedConcurrently drives one Planner from many goroutines
 // on distinct buffers — the documented concurrency contract. Under
 // `go test -race` this checks that concurrent executions never share a
-// scratch state, a band snapshot slab, or a worker frame, across both
-// the sequential and the pool-dispatched parallel paths.
+// scratch state or a worker frame, across both the sequential and the
+// pool-dispatched parallel paths.
 func TestPlannerSharedConcurrently(t *testing.T) {
 	const goroutines = 8
 	const iters = 6
 	configs := []inplace.Options{
-		{Workers: 1, Method: inplace.CacheAware},
-		{Workers: 4, Method: inplace.CacheAware},
-		{Workers: 4, Method: inplace.SkinnyMethod, Direction: inplace.ForceC2R},
-		{Workers: 3, Method: inplace.GatherOnly},
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 4, Direction: inplace.ForceC2R},
+		{Workers: 3, BlockWidth: 3},
 	}
 	for ci, o := range configs {
 		o := o

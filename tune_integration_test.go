@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"inplace"
-	"inplace/internal/core"
 	"inplace/internal/stats"
 	"inplace/internal/tune"
 )
@@ -98,8 +97,8 @@ func TestTunedNeverMeasurablySlower(t *testing.T) {
 // TestWisdomFileChangesPlannerSelection is the cmd/xposetune
 // acceptance path: produce a wisdom file from a tuning run whose
 // measurement disagrees with the static heuristic, prove the file
-// round-trips, and prove that loading it changes the planner's variant
-// selection for that shape — while still transposing correctly.
+// round-trips, and prove that loading it changes the planner's direction
+// for that shape — while still transposing correctly.
 //
 // Measurement is injected (tune.Config.Cost) so the disagreement is
 // deterministic on any host; the file format and planner plumbing under
@@ -109,12 +108,12 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 	inplace.ClearWisdom()
 	const rows, cols = 120, 96
 
-	// The heuristic picks R2C cache-aware for this shape (rows > cols);
-	// force the measurement to crown C2R scatter instead.
+	// The heuristic picks R2C for this shape (rows > cols); force the
+	// measurement to crown C2R instead.
 	d, err := tune.TuneFor[uint64](rows, cols, tune.Config{
 		MaxWorkers: 1,
 		Cost: func(c tune.Candidate) float64 {
-			if c.C2R && c.Variant == core.Scatter {
+			if c.C2R {
 				return 1
 			}
 			return 1000
@@ -123,7 +122,7 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Variant != "scatter" || !d.C2R {
+	if d.Variant != "cache-aware" || !d.C2R {
 		t.Fatalf("cost injection failed: decision %+v", d)
 	}
 
@@ -152,7 +151,7 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Plan().Method() != inplace.CacheAware || before.Plan().UsesC2R() {
+	if before.Plan().UsesC2R() {
 		t.Fatalf("unexpected heuristic baseline %v", before.Plan())
 	}
 
@@ -164,7 +163,7 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Plan().Method() != inplace.Algorithm1 || !after.Plan().UsesC2R() {
+	if !after.Plan().UsesC2R() {
 		t.Fatalf("wisdom did not change selection: %v", after.Plan())
 	}
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"inplace/internal/core"
 	"inplace/internal/parallel"
 	"inplace/internal/tune"
 )
@@ -73,14 +72,11 @@ func storeWisdom(k tune.Key, d tune.Decision) {
 }
 
 // applyWisdom fills every option the caller left at its zero value from
-// a wisdom decision. Explicit settings always win: wisdom refines the
-// heuristics, it does not override the caller.
+// a wisdom decision: its direction, worker count and tile width. A 2D
+// decision's variant names the pipeline it was measured on, and the one
+// engine runs every decision whatever it names. Explicit settings always
+// win: wisdom refines the heuristics, it does not override the caller.
 func applyWisdom(o Options, d tune.Decision) Options {
-	if o.Method == Auto {
-		if v, ok := d.CoreVariant(); ok {
-			o.Method = methodForVariant(v)
-		}
-	}
 	if o.Direction == HeuristicDirection {
 		if d.C2R {
 			o.Direction = ForceC2R
@@ -145,7 +141,6 @@ type TuneResult struct {
 	ElemSize   int
 	MaxWorkers int // resolved budget the decision is keyed under
 
-	Method     Method
 	Direction  Direction
 	Workers    int
 	BlockWidth int
@@ -158,15 +153,14 @@ func (r TuneResult) String() string {
 	if r.Direction == ForceC2R {
 		dir = "C2R"
 	}
-	return fmt.Sprintf("tuned %dx%d (%dB, budget %d): %v %s workers=%d blockw=%d (%.2f GB/s)",
-		r.Rows, r.Cols, r.ElemSize, r.MaxWorkers, r.Method, dir, r.Workers, r.BlockWidth, r.GBps)
+	return fmt.Sprintf("tuned %dx%d (%dB, budget %d): %s workers=%d blockw=%d (%.2f GB/s)",
+		r.Rows, r.Cols, r.ElemSize, r.MaxWorkers, dir, r.Workers, r.BlockWidth, r.GBps)
 }
 
 // Tune measures the real candidate space for transposing row-major
-// rows×cols arrays of T — pass pipeline (Algorithm1 scatter, gather,
-// cache-aware) vs. the skinny banded specialization, C2R vs. R2C
-// direction, worker counts up to the budget, cache-aware tile widths
-// — with short repeatable runs and outlier-robust statistics, records
+// rows×cols arrays of T — C2R vs. R2C direction, worker counts up to
+// the budget, tile widths — with short repeatable runs and
+// outlier-robust statistics, records
 // the winner in the process wisdom table, and returns it. Subsequent
 // planners for the shape (with Options.Tuning at WisdomAuto) use the
 // measured decision; SaveWisdom persists it for future processes.
@@ -184,11 +178,9 @@ func Tune[T any](rows, cols int, cfgs ...TuneConfig) (TuneResult, error) {
 	k := wisdomKey(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: elemSize}, int64(cfg.MaxWorkers))
 	storeWisdom(k, d)
 
-	v, _ := d.CoreVariant()
 	res := TuneResult{
 		Rows: rows, Cols: cols, ElemSize: elemSize, MaxWorkers: k.Budget,
-		Method: methodForVariant(v), Direction: ForceR2C,
-		Workers: d.Workers, BlockWidth: d.BlockW, GBps: d.GBps,
+		Direction: ForceR2C, Workers: d.Workers, BlockWidth: d.BlockW, GBps: d.GBps,
 	}
 	if d.C2R {
 		res.Direction = ForceC2R
@@ -271,18 +263,4 @@ func ClearWisdom() {
 	wisdomTab.t = tune.NewTable()
 	wisdomTab.mu.Unlock()
 	flushPlannerCache()
-}
-
-// methodForVariant maps an engine variant back to its public Method.
-func methodForVariant(v core.Variant) Method {
-	switch v {
-	case core.Scatter:
-		return Algorithm1
-	case core.Gather:
-		return GatherOnly
-	case core.Skinny:
-		return SkinnyMethod
-	default:
-		return CacheAware
-	}
 }

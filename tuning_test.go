@@ -2,6 +2,7 @@ package inplace_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,8 +28,8 @@ func TestTuneRecordsWisdomAndPlannerConsultsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.Plan().Method(); got != res.Method {
-		t.Errorf("tuned planner method = %v, want the tuned decision %v", got, res.Method)
+	if got := pl.Plan().Workers(); got != res.Workers {
+		t.Errorf("tuned planner workers = %d, want the tuned decision %d", got, res.Workers)
 	}
 	if got := pl.Plan().UsesC2R(); got != (res.Direction == inplace.ForceC2R) {
 		t.Errorf("tuned planner C2R = %v, direction decision was %v", got, res.Direction)
@@ -54,8 +55,8 @@ func TestTuneRecordsWisdomAndPlannerConsultsIt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Plan().Method() != inplace.CacheAware || !off.Plan().UsesC2R() {
-		t.Errorf("WisdomOff plan = %v, want the heuristic cache-aware C2R", off.Plan())
+	if !off.Plan().UsesC2R() {
+		t.Errorf("WisdomOff plan = %v, want the heuristic C2R", off.Plan())
 	}
 }
 
@@ -99,21 +100,111 @@ func TestExplicitOptionsWinOverWisdom(t *testing.T) {
 	defer inplace.ClearWisdom()
 	inplace.ClearWisdom()
 
-	if _, err := inplace.Tune[uint64](120, 96, inplace.TuneConfig{Workers: 1, Fast: true}); err != nil {
-		t.Fatal(err)
-	}
-	pl, err := inplace.NewPlanner[uint64](120, 96, inplace.Options{
-		Workers: 1, Method: inplace.Algorithm1, Direction: inplace.ForceR2C,
-	})
+	// Record C2R for a shape whose heuristic is R2C (rows > cols).
+	tbl := tune.NewTable()
+	tbl.Store(tune.Key{Kind: tune.KindTranspose, Rows: 120, Cols: 96, ElemSize: 8, Budget: 1},
+		tune.Decision{Variant: "cache-aware", C2R: true, Workers: 1})
+	loadTable(t, tbl)
+	pl, err := inplace.NewPlanner[uint64](120, 96, inplace.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Plan().Method() != inplace.Algorithm1 {
-		t.Errorf("explicit Method overridden by wisdom: got %v", pl.Plan().Method())
+	if !pl.Plan().UsesC2R() {
+		t.Fatal("wisdom did not steer the direction")
+	}
+	pl, err = inplace.NewPlanner[uint64](120, 96, inplace.Options{Workers: 1, Direction: inplace.ForceR2C})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if pl.Plan().UsesC2R() {
 		t.Error("explicit Direction overridden by wisdom")
 	}
+}
+
+// loadTable writes tbl to a wisdom file and loads it into the process
+// table.
+func loadTable(t *testing.T, tbl *tune.Table) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wisdom.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inplace.LoadWisdom(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A v1 wisdom file may record any of the four pipelines the engine once
+// had. Planning applies each 2D decision's direction, workers and tile
+// width, whatever pipeline it names: the fixture's scatter and skinny
+// entries plan and transpose, and its 512×512 and 1000×8 entries take
+// the direction the heuristic would not pick.
+func TestLegacyVariantWisdomPlans(t *testing.T) {
+	defer inplace.ClearWisdom()
+	inplace.ClearWisdom()
+	if err := inplace.LoadWisdom(filepath.Join("internal", "tune", "testdata", "wisdom_v1.json")); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		rows, cols, elem, budget int
+		c2r                      bool
+	}{
+		{96, 120, 8, 2, true},   // "scatter"
+		{512, 512, 4, 1, false}, // "cache-aware"; the heuristic picks C2R
+		{1000, 8, 8, 4, true},   // "skinny"; the heuristic picks R2C
+	} {
+		o := inplace.Options{Workers: c.budget, Tuning: inplace.WisdomRequired}
+		var (
+			p   *inplace.Plan
+			err error
+		)
+		if c.elem == 8 {
+			p, err = legacyCase[uint64](c.rows, c.cols, o)
+		} else {
+			p, err = legacyCase[uint32](c.rows, c.cols, o)
+		}
+		if err != nil {
+			t.Fatalf("%dx%d: %v", c.rows, c.cols, err)
+		}
+		if p.UsesC2R() != c.c2r {
+			t.Errorf("%dx%d: plan %v, want C2R %v from the recorded decision", c.rows, c.cols, p, c.c2r)
+		}
+	}
+}
+
+// legacyCase plans rows×cols under o and checks one transposition
+// against the reference.
+func legacyCase[T uint32 | uint64](rows, cols int, o inplace.Options) (*inplace.Plan, error) {
+	pl, err := inplace.NewPlanner[T](rows, cols, o)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]T, rows*cols)
+	for i := range data {
+		data[i] = T(i)*2654435761 + 7
+	}
+	want := make([]T, len(data))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			want[j*rows+i] = data[i*cols+j]
+		}
+	}
+	if err := pl.Execute(data); err != nil {
+		return nil, err
+	}
+	for i := range data {
+		if data[i] != want[i] {
+			return nil, fmt.Errorf("wrong at %d", i)
+		}
+	}
+	return pl.Plan(), nil
 }
 
 func TestSaveLoadWisdomRoundTrip(t *testing.T) {
@@ -151,7 +242,7 @@ func TestSaveLoadWisdomRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if before.Plan().Method() != after.Plan().Method() || before.Plan().UsesC2R() != after.Plan().UsesC2R() {
+	if before.Plan().Workers() != after.Plan().Workers() || before.Plan().UsesC2R() != after.Plan().UsesC2R() {
 		t.Errorf("reloaded wisdom resolves differently: %v vs %v", before.Plan(), after.Plan())
 	}
 
@@ -212,20 +303,7 @@ func TestScratchBytesFollowsWisdom(t *testing.T) {
 	tbl := tune.NewTable()
 	tbl.Store(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: elem, Budget: 2},
 		tune.Decision{Variant: "cache-aware", C2R: false, Workers: 2, BlockW: 32})
-	path := filepath.Join(t.TempDir(), "wisdom.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := inplace.LoadWisdom(path); err != nil {
-		t.Fatal(err)
-	}
+	loadTable(t, tbl)
 	tuned, err := inplace.ScratchBytes(rows, cols, elem, o)
 	if err != nil {
 		t.Fatal(err)
