@@ -17,7 +17,8 @@
 //
 // The HTTP port serves GET /stats (every counter in the process as
 // deterministic JSON) and GET /healthz. Without -spill, jobs larger
-// than -mem-limit are rejected instead of spilled.
+// than -mem-limit are rejected instead of spilled. Every size flag must
+// be positive: 0 is rejected, not read as the default.
 //
 // -selftest runs the full service loop in-process — 64 concurrent
 // clients over TCP, coalesced small jobs, a spilled job killed mid-
@@ -70,22 +71,10 @@ func main() {
 		return
 	}
 
-	budgetBytes, err := mathutil.ParseSize(*budget)
-	if err != nil {
-		fatal(err)
-	}
-	memBytes, err := mathutil.ParseSize(*memLimit)
-	if err != nil {
-		fatal(err)
-	}
-	oocBytes, err := mathutil.ParseSize(*oocBudget)
-	if err != nil {
-		fatal(err)
-	}
-	coalesceBytes, err := mathutil.ParseSize(*coalesceLimit)
-	if err != nil {
-		fatal(err)
-	}
+	budgetBytes := sizeFlag("budget", *budget)
+	memBytes := sizeFlag("mem-limit", *memLimit)
+	oocBytes := sizeFlag("ooc-budget", *oocBudget)
+	coalesceBytes := sizeFlag("coalesce-limit", *coalesceLimit)
 	if *wisdom != "" {
 		if err := inplace.LoadWisdom(*wisdom); err != nil && !os.IsNotExist(err) {
 			fatal(err)
@@ -443,6 +432,20 @@ func refTranspose(raw []byte, rows, cols, elem int) []byte {
 		}
 	}
 	return out
+}
+
+// sizeFlag parses the value of the size flag -name, exiting on a bad or
+// zero size: server.Config reads a zero size as unset, so -budget 0
+// would otherwise run silently on the default.
+func sizeFlag(name, spec string) int64 {
+	n, err := mathutil.ParseSize(spec)
+	if err == nil && n == 0 {
+		err = fmt.Errorf("%w %q: -%s must be positive", mathutil.ErrSize, spec, name)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return n
 }
 
 func fatal(err error) {

@@ -29,8 +29,9 @@ type Options struct {
 	// Order is the linearization of the input array (default RowMajor).
 	Order Order
 	// BlockWidth overrides the tile width, in columns, of the tiled
-	// column passes. 0 derives it from the shape and element size: at
-	// least one 64-byte cache line, at most a 64 KiB tile.
+	// column passes. 0 derives it from the shape and element size: a
+	// tile row of at least one 64-byte cache line, four when the rows
+	// lie a page or more apart, and a wide tile of at most 16 KiB.
 	BlockWidth int
 	// Direction forces the C2R or R2C formulation instead of the
 	// shape heuristic. Zero is the heuristic.

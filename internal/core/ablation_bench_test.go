@@ -111,9 +111,10 @@ func BenchmarkAblationRowPermute(b *testing.B) {
 	})
 }
 
-// Tile width of the Engine's tiled column passes: at 8-byte elements the
-// derived width is one 64-byte line per tile row; wider tiles stream
-// longer row segments from a larger tile.
+// Tile width of the Engine's tiled column passes: this plan's 8 KiB rows
+// lie a page apart, so at 8-byte elements the derived width is 32, four
+// 64-byte lines per tile row; narrower tiles visit each page for fewer
+// lines, wider ones stream longer row segments from a larger tile.
 func BenchmarkAblationBlockW(b *testing.B) {
 	m, n := 1024, 1024
 	for _, bw := range []int{4, 8, 16, 32, 64} {

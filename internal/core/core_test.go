@@ -326,6 +326,8 @@ var tileEdgeShapes = []struct {
 	{10, 35, "gcd 5, b = 7: forced W 3 straddles amount boundaries"},
 	{33, 250, "many tiles and chunks, coprime"},
 	{64, 1000, "gcd 8, b = 125, multi-chunk"},
+	{64, 1024, "a = 1, b = 16: runs of a line at 4 bytes, several per derived tile"},
+	{32, 800, "gcd 32, b = 25: runs past a line at 4 and 8 bytes, straddled by W"},
 }
 
 // tileEdgeCase runs C2R and R2C of one engine against the oracle,
@@ -365,11 +367,25 @@ func TestTileWidth(t *testing.T) {
 	for _, c := range []struct {
 		m, n, elem, blockW, want int
 	}{
-		{2896, 2896, 8, 0, 8},         // near-square: one cache line
-		{2896, 2896, 1, 0, 64},        // one line of bytes
-		{4, 1 << 22, 4, 0, 4096},      // wide: a 64 KiB tile
-		{256, 4096, 4, 0, 16},         // wide: capped at max(m,n)/m
-		{16, 1024, 8, 0, 64},          // wide: max(m,n)/m inside 64 KiB
+		{2896, 2896, 8, 0, 32},        // rows a page apart: four lines
+		{2797, 3000, 8, 0, 32},        // rows a page apart: four lines of u64
+		{2797, 3000, 4, 0, 64},        // rows a page apart: four lines of u32
+		{512, 512, 8, 0, 32},          // rows exactly a page apart
+		{1024, 511, 8, 0, 8},          // rows just under a page apart: one line
+		{511, 1024, 8, 0, 32},         // the same matrix's other plan
+		{1000, 1000, 4, 0, 16},        // rows under a page apart: one line
+		{2896, 2896, 1, 0, 64},        // rows under a page apart: one line of bytes
+		{4096, 4096, 8, 0, 32},        // the most rows that take four lines
+		{4097, 4097, 8, 0, 8},         // m > 4096: one line
+		{100, 1366, 3, 0, 85},         // 4098-byte rows: four lines of 3-byte elements
+		{100, 1365, 3, 0, 21},         // 4095-byte rows: one line
+		{4, 1 << 22, 4, 0, 1024},      // aos_f4: a 16 KiB tile
+		{16, 1 << 20, 4, 0, 256},      // aos_f16: a 16 KiB tile
+		{8, 1 << 17, 4, 0, 512},       // a tile-store ingest chunk: a 16 KiB tile
+		{256, 4096, 4, 0, 64},         // perm slab: four lines, past max(m,n)/m
+		{16, 1024, 8, 0, 64},          // wide: max(m,n)/m inside 16 KiB
+		{8, 1024, 4, 0, 128},          // a tiny serve shape: max(m,n)/m
+		{45, 91, 8, 0, 8},             // a tiny serve shape: one line
 		{12, 5, 1, 0, 5},              // clamped to n
 		{12, 20, 8, 33, 20},           // forced, clamped to n
 		{12, 20, 8, 3, 3},             // forced
@@ -379,6 +395,71 @@ func TestTileWidth(t *testing.T) {
 		if got := TileWidth(c.m, c.n, c.elem, c.blockW); got != c.want {
 			t.Errorf("TileWidth(%d, %d, %d, %d) = %d, want %d", c.m, c.n, c.elem, c.blockW, got, c.want)
 		}
+	}
+}
+
+// unshuffleRef is the R2C column shuffle of Eqs. 34–35 element by
+// element: row i of column j takes source row q⁻¹((i − j) mod m).
+func unshuffleRef[T any](dst, src []T, p *cr.Plan) {
+	m, n := p.M, p.N
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			dst[i*n+j] = src[p.QInv(((i-j)%m+m)%m)*n+j]
+		}
+	}
+}
+
+// The R2C column shuffle loads each source row whole into tile row q(k)
+// and writes back along a diagonal whose window wraps around the tile.
+// It must be exact at every tile edge: a narrower last tile, tiles wider
+// than the matrix is tall (m < W: a row's window wraps more than once),
+// tiles whose first column j0 is not a multiple of m (the window starts
+// inside the tile), and plans with a > 1, where qStep decrements q only
+// every a rows (with a = 1 it does so every row).
+func TestUnshuffleTileEdges(t *testing.T) {
+	var narrow, tall, offset, aBig, aOne bool
+	for _, c := range []struct{ m, n, w int }{
+		{12, 100, 8},    // gcd 4, a = 3
+		{5, 37, 16},     // coprime, m < W
+		{7, 300, 64},    // coprime, m < W, several tiles
+		{16, 1000, 256}, // gcd 8, a = 2, m < W
+		{97, 101, 32},   // coprime, a = 97
+		{60, 84, 5},     // gcd 12, a = 5, b = 7
+		{4, 100, 3},     // a = 1
+		{48, 64, 33},    // gcd 16, a = 3
+		{300, 1100, TileWidth(300, 1100, 4, 0)},
+		{2, 301, TileWidth(2, 301, 8, 0)},
+	} {
+		m, n, w := c.m, c.n, c.w
+		p := cr.NewPlan(m, n)
+		narrow = narrow || n%w != 0
+		tall = tall || m < w
+		offset = offset || (n > w && w%m != 0)
+		aBig = aBig || p.A > 1
+		aOne = aOne || p.A == 1
+		rng := rand.New(rand.NewSource(int64(m*31 + n)))
+		src := make([]uint32, m*n)
+		for i := range src {
+			src[i] = rng.Uint32()
+		}
+		got := append([]uint32(nil), src...)
+		tileColumnsRange(got, p, tileShuffleInv, w, make([]uint32, m*w), make([]int, w), 0, (n+w-1)/w)
+		want := make([]uint32, m*n)
+		unshuffleRef(want, src, p)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%dx%d W %d: unshuffle wrong at row %d col %d", m, n, w, i/n, i%n)
+			}
+		}
+		// The whole transposition, R2C and C2R, against OutOfPlace.
+		for _, workers := range []int{1, 2} {
+			tileEdgeCase[uint32](t, m, n, workers, w)
+			tileEdgeCase[uint64](t, m, n, workers, w)
+		}
+	}
+	if !narrow || !tall || !offset || !aBig || !aOne {
+		t.Fatalf("cases miss an edge: narrower last tile %v, m < W %v, j0 mod m ≠ 0 %v, a > 1 %v, a = 1 %v",
+			narrow, tall, offset, aBig, aOne)
 	}
 }
 
@@ -427,6 +508,7 @@ func TestScratchBytesBoundsExecution(t *testing.T) {
 		{1, 1}, {2, 3}, {5, 7}, // tiny
 		{3, 4096}, {4096, 3}, {16, 20000}, {20000, 16}, {20000, 6}, // skinny
 		{96, 100}, {250, 256}, {300, 300}, // near-square
+		{300, 1100}, {600, 520}, {1100, 300}, // rows a page apart at 4 and 8 bytes; the last keeps one line
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			scratchCase[uint8](t, sh[0], sh[1], workers)

@@ -28,12 +28,25 @@ import (
 // or R2C makes at most three sweeps over the matrix: two tiled column
 // passes and the row shuffle, or one and the row shuffle when
 // gcd(m, n) = 1.
+//
+// The tile geometry follows what a tile touches: lines and pages, not
+// index arithmetic. On a tall plan whose rows lie a page or more apart,
+// every tile row is a page visit of its own, so a tile row spans four
+// lines there instead of one. A wide tile stays within 16 KiB, well
+// inside a 48 KiB L1d. The R2C shuffle applies q on load, as whole-row
+// copies, so only the rotation is left for the write-back, whose
+// diagonal gather reads a window of W contiguous tile rows that slides
+// by one row per output row.
 
-// Tile sizing: a tile row spans at least one cache line, and the whole
-// tile stays within a private cache.
+// Tile sizing: a tile row spans at least one cache line, or tilePageLines
+// of them when the rows lie a page or more apart, and a wide tile stays
+// within tileMaxBytes.
 const (
 	tileLineBytes = 64
-	tileMaxBytes  = 64 << 10
+	tilePageBytes = 4 << 10
+	tilePageLines = 4
+	tilePageRows  = 4096 // the most rows that take the page floor: the tile stays ≤ 1 MiB
+	tileMaxBytes  = 16 << 10
 )
 
 // intBytes is the size of one rotation-amount entry.
@@ -41,23 +54,31 @@ const intBytes = int(unsafe.Sizeof(int(0)))
 
 // TileWidth resolves the column-tile width of the tiled column passes
 // for an m×n plan of elemSize-byte elements. A positive blockW is
-// taken as given; otherwise
+// taken as given; otherwise, with e = elemSize,
 //
-//	W = max(64/elemSize, min(65536/(m·elemSize), max(m,n)/m)),
+//	floor = 256/e if m ≤ 4096 and n·e ≥ 4096, else 64/e
+//	W     = max(floor, min(16384/(m·e), max(m,n)/m)),
 //
-// a tile row of at least one 64-byte line, a tile of at most 64 KiB, and
-// on wide plans no wider than keeps the m×W tile within the row
-// shuffle's max(m,n)-element buffer. Either way the width is clamped to
+// a tile row of at least one 64-byte line — four when the rows lie a page
+// or more apart, so each page visit moves four lines of the tile (the
+// m ≤ 4096 gate keeps that tile within 1 MiB, and plans whose rows share
+// pages keep one line) — a wide tile of at most 16 KiB, and on wide
+// plans no wider than keeps the m×W tile within the row shuffle's
+// max(m,n)-element buffer. Either way the width is clamped to
 // [1, n].
 func TileWidth(m, n, elemSize, blockW int) int {
 	w := blockW
 	if w <= 0 {
 		es := max(elemSize, 1)
-		fit := 0
-		if rowBytes, ok := mathutil.CheckedMul(max(m, 1), es); ok {
-			fit = tileMaxBytes / rowBytes
+		floor := tileLineBytes / es
+		if m <= tilePageRows && n >= (tilePageBytes+es-1)/es { // n·e ≥ one page
+			floor = tilePageLines * tileLineBytes / es
 		}
-		w = max(tileLineBytes/es, min(fit, max(m, n)/max(m, 1)))
+		fit := 0
+		if tileRow, ok := mathutil.CheckedMul(max(m, 1), es); ok {
+			fit = tileMaxBytes / tileRow
+		}
+		w = max(floor, min(fit, max(m, n)/max(m, 1)))
 	}
 	return max(1, min(w, n))
 }
@@ -158,8 +179,9 @@ func loadTile[T any](data []T, m, n, j0, tw int, tile []T) {
 // amount ⌊j/b⌋ is below c ≤ m and non-decreasing in j, so a tile whose
 // end columns share it has one amount throughout; that tile is shifted
 // by whole row segments, saving only the rows that wrap. Otherwise the
-// amount changes inside the tile and each row gathers per element from
-// the full tile.
+// amount changes inside the tile, which is then loaded whole: when a run
+// of b columns spans at least a cache line, each row copies its runs
+// whole from the tile, and otherwise it gathers per element.
 //
 //xpose:hotpath
 func rotateTile[T any](data []T, p *cr.Plan, inverse bool, j0, tw int, tile []T, am []int) {
@@ -183,6 +205,23 @@ func rotateTile[T any](data []T, p *cr.Plan, inverse bool, j0, tw int, tile []T,
 		}
 		return
 	}
+	loadTile(data, m, n, j0, tw, tile)
+	var zero T
+	if b*int(unsafe.Sizeof(zero)) >= tileLineBytes {
+		for i := 0; i < m; i++ {
+			row := data[i*n+j0 : i*n+j0+tw]
+			for amt, lo := r, 0; lo < tw; amt++ {
+				hi := min((amt+1)*b-j0, tw) // the run of amount amt ends here
+				s := i + gatherOffset(amt, m, inverse)
+				if s >= m {
+					s -= m
+				}
+				copy(row[lo:hi], tile[s*tw+lo:s*tw+hi])
+				lo = hi
+			}
+		}
+		return
+	}
 	next := (r + 1) * b // first column of the next amount
 	for jj := range am[:tw] {
 		if j0+jj == next {
@@ -191,7 +230,6 @@ func rotateTile[T any](data []T, p *cr.Plan, inverse bool, j0, tw int, tile []T,
 		}
 		am[jj] = gatherOffset(r, m, inverse)
 	}
-	loadTile(data, m, n, j0, tw, tile)
 	for i := 0; i < m; i++ {
 		row := data[i*n+j0 : i*n+j0+tw]
 		for jj := range row {
@@ -267,9 +305,12 @@ func shuffleTile[T any](data []T, p *cr.Plan, j0, tw int, tile []T) {
 
 // unshuffleTile applies the R2C column shuffle, the inverse of
 // shuffleTile: row i of column j gathers from q⁻¹((i − j) mod m), which
-// is to say source row k lands in row (q(k) + j) mod m. The tile is
-// loaded by scattering each source row along that diagonal, after which
-// every row is written back whole.
+// is to say source row k lands in row (q(k) + j) mod m. The two factors
+// are undone one at a time. The load applies q as whole-row copies,
+// source row k into tile row q(k); then row i of column j takes tile row
+// (i − j) mod m, so along a row the source walks the tile diagonally
+// upwards, through a window of tw contiguous tile rows that slides down
+// by one as i advances.
 //
 //xpose:hotpath
 func unshuffleTile[T any](data []T, p *cr.Plan, j0, tw int, tile []T) {
@@ -279,21 +320,21 @@ func unshuffleTile[T any](data []T, p *cr.Plan, j0, tw int, tile []T) {
 	mtw := m * tw
 	q, ia := 0, 0 // q(k) and k mod a
 	for k := 0; k < m; k++ {
-		d := q + j0m
-		if d >= m {
-			d -= m
-		}
-		x := d * tw // offset of destination row d in the tile
-		for jj, v := range data[k*n+j0 : k*n+j0+tw] {
-			tile[x+jj] = v
-			x += tw
-			if x == mtw {
-				x = 0
-			}
-		}
+		copy(tile[q*tw:q*tw+tw], data[k*n+j0:k*n+j0+tw])
 		q, ia = qStep(q, ia, nm, m, a)
 	}
 	for i := 0; i < m; i++ {
-		copy(data[i*n+j0:i*n+j0+tw], tile[i*tw:i*tw+tw])
+		s := i - j0m
+		if s < 0 {
+			s += m
+		}
+		x := s * tw // x+jj indexes tile row (i − j0 − jj) mod m
+		row := data[i*n+j0 : i*n+j0+tw]
+		for jj := range row {
+			row[jj] = tile[x+jj]
+			if x -= tw; x < 0 {
+				x += mtw
+			}
+		}
 	}
 }

@@ -15,9 +15,10 @@
 // TuneFor is the 2D tuner. Its search is staged rather than exhaustive,
 // the FFTW-wisdom pattern scaled to this candidate space: stage 1 races
 // the C2R and R2C directions at the full worker budget, stage 2 sweeps
-// the worker ladder for the winning direction, and stage 3 sweeps the
-// tile width. The permutation, out-of-core and tile-store tuners live
-// in the public package and run the same Search.
+// the worker ladder for the winning direction, and stage 3 times the
+// derived tile width W of the winning plan against W/2 and 2W. The
+// permutation, out-of-core and tile-store tuners live in the public
+// package and run the same Search.
 package tune
 
 import (
@@ -57,7 +58,8 @@ type Config struct {
 	// batched to MinSample, within MaxTotal per candidate.
 	MeasureOpts
 	// BlockWidths is the stage-3 sweep of tile widths; 0 entries mean
-	// the derived width. nil means {0, 16, 32}.
+	// the derived width. nil means the derived width W of the winning
+	// direction's plan and its neighbours W/2 and 2W (see blockWidths).
 	BlockWidths []int
 	// Cost, when non-nil, replaces wall-clock measurement (Search.Cost).
 	Cost func(Candidate) float64
@@ -103,10 +105,8 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		return Decision{}, fmt.Errorf("%w (got %dx%d)", ErrOverflow, rows, cols)
 	}
 	budget := parallel.Workers(cfg.MaxWorkers)
-	blockWidths := cfg.BlockWidths
-	if blockWidths == nil {
-		blockWidths = []int{0, 16, 32}
-	}
+	var elem T
+	elemSize := int(unsafe.Sizeof(elem))
 
 	// The two directions transpose through mutually-inverse plans of
 	// swapped shapes; both are built once and shared by every candidate.
@@ -148,7 +148,11 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 
 	// Stage 3: tile width.
 	best, _, _ = s.Best()
-	for _, bw := range blockWidths {
+	widths := cfg.BlockWidths
+	if widths == nil {
+		widths = blockWidths(plans[best.C2R], elemSize)
+	}
+	for _, bw := range widths {
 		best.BlockW = bw
 		s.Try(best)
 	}
@@ -159,9 +163,23 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 	}
 	d := Decision{Variant: "cache-aware", C2R: best.C2R, Workers: best.Workers, BlockW: best.BlockW}
 	if ns > 0 {
-		var elem T
-		bytes := 2 * float64(rows) * float64(cols) * float64(unsafe.Sizeof(elem))
+		bytes := 2 * float64(rows) * float64(cols) * float64(elemSize)
 		d.GBps = bytes / ns // ns/op and GB/s share the 1e9 factor
 	}
 	return d, nil
+}
+
+// blockWidths is the default stage-3 sweep for plan p of elemSize-byte
+// elements: the derived tile width W, given as 0 so that a decision for
+// it follows the derived rule, and its neighbours W/2 and 2W clamped to
+// [1, n], each dropped where it equals W.
+func blockWidths(p *cr.Plan, elemSize int) []int {
+	w := core.TileWidth(p.M, p.N, elemSize, 0)
+	out := []int{0}
+	for _, bw := range []int{w / 2, 2 * w} {
+		if bw = max(1, min(bw, p.N)); bw != w {
+			out = append(out, bw)
+		}
+	}
+	return out
 }

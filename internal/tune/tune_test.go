@@ -53,22 +53,43 @@ func TestTuneForWorkerLadder(t *testing.T) {
 	}
 }
 
+// The default stage-3 sweep times the derived width W of the winning
+// direction's plan (as 0) and its neighbours W/2 and 2W, clamped to
+// [1, n], and keeps whichever measures cheapest.
 func TestTuneForBlockWidthSweep(t *testing.T) {
-	cfg := Config{
-		MaxWorkers: 1,
-		Cost: func(c Candidate) float64 {
-			if c.BlockW == 16 {
+	for _, c := range []struct {
+		rows, cols, pick int
+		swept            []int
+	}{
+		{256, 256, 16, []int{0, 4, 16}},      // W 8: one line
+		{2896, 2896, 64, []int{0, 16, 64}},   // W 32: rows a page apart
+		{3000, 2797, 16, []int{0, 16, 64}},   // R2C wins: plan 2797×3000, W 32
+		{4, 1 << 20, 0, []int{0, 256, 1024}}, // W 512: a 16 KiB tile
+		{4, 10, 10, []int{0, 4, 10}},         // W 8: 2W clamped to n
+	} {
+		swept := map[int]bool{}
+		cfg := Config{MaxWorkers: 1, Cost: func(cd Candidate) float64 {
+			swept[cd.BlockW] = true
+			if cd.BlockW == c.pick {
 				return 1
 			}
 			return 10
-		},
-	}
-	d, err := TuneFor[uint64](256, 256, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Variant != "cache-aware" || d.BlockW != 16 {
-		t.Fatalf("block sweep got %+v, want cache-aware blockw=16", d)
+		}}
+		d, err := TuneFor[uint64](c.rows, c.cols, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Variant != "cache-aware" || d.BlockW != c.pick {
+			t.Errorf("%dx%d: block sweep got %+v, want cache-aware blockw=%d", c.rows, c.cols, d, c.pick)
+		}
+		if len(swept) != len(c.swept) {
+			t.Errorf("%dx%d: swept %v, want %v", c.rows, c.cols, swept, c.swept)
+		}
+		for _, bw := range c.swept {
+			if !swept[bw] {
+				t.Errorf("%dx%d: swept %v, want %v", c.rows, c.cols, swept, c.swept)
+			}
+		}
 	}
 }
 

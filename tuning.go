@@ -159,9 +159,9 @@ func (r TuneResult) String() string {
 
 // Tune measures the real candidate space for transposing row-major
 // rows×cols arrays of T — C2R vs. R2C direction, worker counts up to
-// the budget, tile widths — with short repeatable runs and
-// outlier-robust statistics, records
-// the winner in the process wisdom table, and returns it. Subsequent
+// the budget, the derived tile width W against W/2 and 2W — with short
+// repeatable runs and outlier-robust statistics, records the winner in
+// the process wisdom table, and returns it. Subsequent
 // planners for the shape (with Options.Tuning at WisdomAuto) use the
 // measured decision; SaveWisdom persists it for future processes.
 //
