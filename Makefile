@@ -176,11 +176,15 @@ store-smoke:
 	$(GO) run ./cmd/xposestore selftest
 
 # serve-smoke boots the xposed daemon in-process and runs its
-# acceptance demo: 64 concurrent clients over TCP with plan sharing and
-# coalescing, a spilled job killed mid-upload and resumed across a
-# server restart, and every claim re-checked from the /stats scrape.
+# acceptance demo: 64 concurrent clients over TCP sharing plans, a
+# spilled job killed mid-upload and resumed across a server restart,
+# and every claim re-checked from the /stats scrape. It runs twice, the
+# second time under the race detector: cmd/xposed has no tests, so
+# `make race` never reaches the concurrent clients or the kill, restart
+# and resume path.
 serve-smoke:
 	$(GO) run ./cmd/xposed -selftest
+	$(GO) run -race ./cmd/xposed -selftest
 
 # clean keeps results/bench-baseline.json: it is committed (the
 # bench-gate reference), not a build product.

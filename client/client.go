@@ -132,7 +132,7 @@ func NewToken() uint64 {
 
 // Transpose sends the row-major rows×cols matrix of elem-byte elements
 // in data to the daemon and overwrites data with the transpose. The
-// server picks the execution mode (in-memory, coalesced, or spilled).
+// server picks the execution mode (in-memory or spilled).
 func (c *Client) Transpose(data []byte, rows, cols, elem int) error {
 	_, err := c.TransposeToken(NewToken(), data, rows, cols, elem, 0)
 	return err

@@ -1,18 +1,17 @@
 // Command xposed is the transpose service daemon: it accepts matrices
 // over a length-prefixed binary TCP protocol, transposes them in place
 // through the process planner cache (so concurrent same-shape requests
-// share one plan and small ones coalesce into batches), bounds its
-// total in-flight bytes with an admission controller charging each job
-// its payload plus the engine's exact scratch, and spills jobs too
-// large for memory through the journaled out-of-core engine —
-// resumable by token across disconnects and daemon restarts.
+// share one plan), bounds its total in-flight bytes with an admission
+// controller charging each job its payload plus the engine's exact
+// scratch, and spills jobs too large for memory through the journaled
+// out-of-core engine — resumable by token across disconnects and
+// daemon restarts.
 //
 // Usage:
 //
 //	xposed [-addr :7077] [-http :7078] [-spill DIR] [-budget 1g]
 //	       [-mem-limit 64m] [-ooc-budget 64m] [-queue-wait 2s]
-//	       [-max-queue 256] [-coalesce 200us] [-coalesce-limit 32k]
-//	       [-coalesce-max 64] [-wisdom FILE]
+//	       [-max-queue 256] [-wisdom FILE]
 //	xposed -selftest
 //
 // The HTTP port serves GET /stats (every counter in the process as
@@ -21,7 +20,7 @@
 // be positive: 0 is rejected, not read as the default.
 //
 // -selftest runs the full service loop in-process — 64 concurrent
-// clients over TCP, coalesced small jobs, a spilled job killed mid-
+// clients over TCP repeating two shapes, a spilled job killed mid-
 // upload and resumed across a daemon restart, and a /stats scrape with
 // invariant checks — and exits non-zero on any failure.
 package main
@@ -59,9 +58,6 @@ func main() {
 	oocBudget := flag.String("ooc-budget", "64m", "resident scratch budget for spilled jobs")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "how long an unadmitted job queues before shedding")
 	maxQueue := flag.Int("max-queue", 256, "admission queue depth")
-	coalesce := flag.Duration("coalesce", 200*time.Microsecond, "coalescing window for small same-shape jobs (negative disables)")
-	coalesceLimit := flag.String("coalesce-limit", "32k", "per-job payload ceiling for coalescing")
-	coalesceMax := flag.Int("coalesce-max", 64, "max jobs per coalesced batch")
 	wisdom := flag.String("wisdom", "", "wisdom file to load at startup (see cmd/xposetune)")
 	selftest := flag.Bool("selftest", false, "run the in-process service selftest and exit")
 	flag.Parse()
@@ -74,7 +70,6 @@ func main() {
 	budgetBytes := sizeFlag("budget", *budget)
 	memBytes := sizeFlag("mem-limit", *memLimit)
 	oocBytes := sizeFlag("ooc-budget", *oocBudget)
-	coalesceBytes := sizeFlag("coalesce-limit", *coalesceLimit)
 	if *wisdom != "" {
 		if err := inplace.LoadWisdom(*wisdom); err != nil && !os.IsNotExist(err) {
 			fatal(err)
@@ -88,9 +83,6 @@ func main() {
 		OOCBudget:        oocBytes,
 		MaxWait:          *queueWait,
 		MaxQueue:         *maxQueue,
-		CoalesceWindow:   *coalesce,
-		CoalesceLimit:    coalesceBytes,
-		CoalesceMax:      *coalesceMax,
 	})
 	if err != nil {
 		fatal(err)
@@ -148,10 +140,10 @@ func main() {
 const (
 	stClients  = 64
 	stMemJobs  = 8  // per-client jobs on the plan-shared mem path
-	stTinyJobs = 4  // per-client jobs small enough to coalesce
+	stTinyJobs = 4  // per-client jobs of a second, 2 KiB shape
 	stRows     = 96 // mem-path shape
 	stCols     = 128
-	stTinyRows = 32 // coalesce-path shape
+	stTinyRows = 32 // tiny-job shape
 	stTinyCols = 16
 )
 
@@ -168,7 +160,6 @@ func runSelftest() {
 		MaxInFlightBytes: 64 << 20,
 		MemJobLimit:      1 << 20,
 		OOCBudget:        256 << 10,
-		CoalesceLimit:    8 << 10,
 		Registry:         reg,
 	}
 	before := stats.Default().Snapshot()
@@ -185,8 +176,7 @@ func runSelftest() {
 	addr := ln.Addr().String()
 
 	// Phase 1: 64 concurrent clients, each repeating the same two
-	// shapes, so the planner cache and the coalescer both see heavy
-	// same-shape traffic.
+	// shapes, so the planner cache sees heavy same-shape traffic.
 	var wg sync.WaitGroup
 	errs := make(chan error, stClients)
 	for i := 0; i < stClients; i++ {
@@ -273,9 +263,6 @@ func runSelftest() {
 	if snap.Counters["server_resumes"] < 1 {
 		fatal(fmt.Errorf("selftest: no spilled job was resumed"))
 	}
-	if snap.Counters["server_coalesced_batches"] < 1 {
-		fatal(fmt.Errorf("selftest: no small jobs were coalesced"))
-	}
 	wantJobs := uint64(stClients * (stMemJobs + stTinyJobs))
 	if snap.Counters["server_jobs_inmem"] != wantJobs {
 		fatal(fmt.Errorf("selftest: %d in-memory jobs completed, want %d", snap.Counters["server_jobs_inmem"], wantJobs))
@@ -288,16 +275,15 @@ func runSelftest() {
 	if v := reg.Snapshot().Levels["server_inflight_bytes"].Value; v != 0 {
 		fatal(fmt.Errorf("selftest: in-flight ledger not drained after shutdown: %d", v))
 	}
-	fmt.Printf("selftest ok: %d clients, %d jobs (hit rate %.3f, %d coalesced into %d batches), peak in-flight %d/%d bytes, %d spilled + %d resumed across restart\n",
+	fmt.Printf("selftest ok: %d clients, %d jobs (hit rate %.3f), peak in-flight %d/%d bytes, %d spilled + %d resumed across restart\n",
 		stClients, snap.Counters["server_jobs"], hitRate,
-		snap.Counters["server_coalesced_jobs"], snap.Counters["server_coalesced_batches"],
 		infl.Peak, budget,
 		snap.Counters["server_jobs_spilled"], snap.Counters["server_resumes"])
 }
 
 // selftestClient is one of the 64 concurrent clients: repeated
-// same-shape jobs on the mem path plus tiny coalescable jobs, each
-// verified bit-exactly against a reference transpose.
+// same-shape jobs on the mem path plus tiny jobs of a second shape,
+// each verified bit-exactly against a reference transpose.
 func selftestClient(addr string, seed int64) error {
 	cl, err := client.Dial(addr)
 	if err != nil {

@@ -45,10 +45,10 @@
 // planners per (shape, options, element type) in one FIFO cache, so
 // even ad-hoc repeated calls hit the amortized path.
 //
-// TransposeElem, TransposeBatchElem and PermuteAxesElem serve callers
-// that hold raw bytes of a known element width (1, 2, 4 or 8) but no
-// element type: a transpose moves whole records, so the bytes move as
-// words of that width, in place when the buffer is aligned for them.
+// TransposeElem and PermuteAxesElem serve callers that hold raw bytes
+// of a known element width (1, 2, 4 or 8) but no element type: a
+// transpose moves whole records, so the bytes move as words of that
+// width, in place when the buffer is aligned for them.
 //
 // The lower-level NewPlan/Do API remains for callers that only need the
 // untyped shape resolution:

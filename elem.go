@@ -22,7 +22,6 @@ type wordOps interface {
 	tune(rows, cols int, cfgs []TuneConfig) (TuneResult, error)
 	tunePermute(dims, perm []int, cfgs []TuneConfig) (PermuteTuneResult, error)
 	transpose(raw []byte, rows, cols int, o Options) error
-	transposeBatch(raw []byte, count, rows, cols int, o Options) error
 	permute(raw []byte, dims, perm []int, o Options) error
 }
 
@@ -56,10 +55,6 @@ func (words[W]) tunePermute(dims, perm []int, cfgs []TuneConfig) (PermuteTuneRes
 
 func (words[W]) transpose(raw []byte, rows, cols int, o Options) error {
 	return onWords(raw, func(v []W) error { return TransposeWith(v, rows, cols, o) })
-}
-
-func (words[W]) transposeBatch(raw []byte, count, rows, cols int, o Options) error {
-	return onWords(raw, func(v []W) error { return TransposeBatch(v, count, rows, cols, o) })
 }
 
 func (words[W]) permute(raw []byte, dims, perm []int, o Options) error {
@@ -108,18 +103,6 @@ func TransposeElem(raw []byte, rows, cols, elemSize int, opts ...Options) error 
 		return err
 	}
 	return w.transpose(raw, rows, cols, optionsOf(opts))
-}
-
-// TransposeBatchElem is TransposeBatch over raw bytes of elemSize-byte
-// elements, on the terms of TransposeElem.
-//
-//xpose:hotpath
-func TransposeBatchElem(raw []byte, count, rows, cols, elemSize int, opts ...Options) error {
-	w, err := wordsOf(elemSize)
-	if err != nil {
-		return err
-	}
-	return w.transposeBatch(raw, count, rows, cols, optionsOf(opts))
 }
 
 // PermuteAxesElem is PermuteAxes over raw bytes of elemSize-byte

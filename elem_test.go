@@ -47,9 +47,6 @@ func TestElemFunctionsMatchReference(t *testing.T) {
 		{"TransposeElem", []int{7, 5}, []int{1, 0}, func(raw []byte, elem int) error {
 			return TransposeElem(raw, 7, 5, elem)
 		}},
-		{"TransposeBatchElem", []int{3, 7, 5}, []int{0, 2, 1}, func(raw []byte, elem int) error {
-			return TransposeBatchElem(raw, 3, 7, 5, elem, Options{Workers: 2})
-		}},
 		{"PermuteAxesElem", []int{2, 3, 4, 5}, []int{0, 3, 1, 2}, func(raw []byte, elem int) error {
 			return PermuteAxesElem(raw, []int{2, 3, 4, 5}, []int{0, 3, 1, 2}, elem)
 		}},
@@ -109,7 +106,6 @@ func TestElemFunctionsRejectBadInput(t *testing.T) {
 	_, tunePermErr := TunePermuteElem([]int{2, 2}, []int{1, 0}, 3)
 	for i, err := range []error{
 		TransposeElem(raw, 2, 2, 3),
-		TransposeBatchElem(raw, 1, 2, 2, 3),
 		PermuteAxesElem(raw, []int{2, 2}, []int{1, 0}, 3),
 		tuneErr,
 		tunePermErr,

@@ -165,8 +165,8 @@ var ErrPerm = errors.New("inplace: perm is not a permutation of the axes")
 var ErrUnknownMethod = errors.New("inplace: unknown method")
 
 // ErrElemSize reports an element size the size-dispatched functions
-// (TransposeElem, TransposeBatchElem, PermuteAxesElem, TuneElem and
-// TunePermuteElem) cannot handle: only 1, 2, 4 and 8 are wired.
+// (TransposeElem, PermuteAxesElem, TuneElem and TunePermuteElem)
+// cannot handle: only 1, 2, 4 and 8 are wired.
 var ErrElemSize = errors.New("inplace: unsupported element size")
 
 // ErrNoTuneResult reports a tuning run with nothing to measure: an

@@ -10,13 +10,13 @@ import (
 )
 
 // LeakCheck reports goroutines and timers with no provable exit path.
-// The daemon spawns goroutines per connection, per coalescing group
-// and per pipeline stage; one that can never return is a slow memory
-// leak that no test catches. Per go statement the analyzer resolves
-// the spawned body (function literal, or same-package function through
-// the call graph) and demands that every unconditional `for {}` loop
-// in it can escape — a return, a break, or a goto; ranging over a
-// channel and bounded loops are fine. It also flags
+// The daemon spawns goroutines per connection and per pipeline stage;
+// one that can never return is a slow memory leak that no test
+// catches. Per go statement the analyzer resolves the spawned body
+// (function literal, or same-package function through the call graph)
+// and demands that every unconditional `for {}` loop in it can escape
+// — a return, a break, or a goto; ranging over a channel and bounded
+// loops are fine. It also flags
 //
 //   - sync.WaitGroup.Add inside the spawned goroutine (it races the
 //     corresponding Wait; Add must happen before the go statement);

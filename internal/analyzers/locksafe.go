@@ -11,12 +11,12 @@ import (
 )
 
 // LockSafe reports mutex-discipline violations, the failure class the
-// daemon introduced: admission controller, coalescer and spill
-// registry all serialize hot-path state behind sync.Mutex/RWMutex, so
-// a blocking call made while one is held turns a bounded critical
-// section into a convoy (or a deadlock). Per function — including
-// every function literal — a control-flow-graph dataflow tracks which
-// locks may be held before each statement and flags
+// daemon introduced: admission controller and spill registry both
+// serialize hot-path state behind sync.Mutex/RWMutex, so a blocking
+// call made while one is held turns a bounded critical section into a
+// convoy (or a deadlock). Per function — including every function
+// literal — a control-flow-graph dataflow tracks which locks may be
+// held before each statement and flags
 //
 //   - blocking operations under a lock: channel sends and receives,
 //     selects without a default, sync.WaitGroup.Wait/sync.Cond.Wait,

@@ -13,8 +13,8 @@ import (
 // flight. Its cost model is the paper's auxiliary-space theorem made
 // operational: an in-memory job costs its payload plus the scratch one
 // execution of its plan holds, inplace.ScratchBytes of the plan as the
-// planner resolves it — direction, workers, method and tile width,
-// wisdom included. Per worker that is at most max(n, m·W) elements (the
+// planner resolves it — direction, workers and tile width, wisdom
+// included. Per worker that is at most max(n, m·W) elements (the
 // row shuffle's n-element buffer, which at most m workers hold, and a
 // column pass's W-column tile) plus the tile's W-entry amount array,
 // an O(max(m,n)) bound in the sense of Catanzaro et al. A spilled job

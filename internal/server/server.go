@@ -1,11 +1,11 @@
 // Package server implements xposed, the transpose service daemon: a
 // TCP server speaking the internal/server/wire protocol that runs
 // client matrices through the process planner cache. One daemon
-// multiplexes many clients over three shared resources — the planner
-// cache (concurrent same-shape requests reuse one plan), the admission
-// budget (total in-flight bytes are bounded by the paper's exact
-// scratch cost model), and the coalescer (small same-shape jobs batch
-// into single TransposeBatch calls). Jobs too large for memory spill
+// multiplexes many clients over two shared resources — the planner
+// cache (concurrent same-shape requests reuse one plan) and the
+// admission budget (total in-flight bytes are bounded by the paper's
+// exact scratch cost model). Every in-memory job runs on its own as
+// soon as it is admitted and uploaded. Jobs too large for memory spill
 // through the out-of-core engine with a journaled temp file and are
 // resumable by token across disconnects and daemon restarts.
 package server
@@ -89,19 +89,6 @@ type Config struct {
 	// immediately. Default 256.
 	MaxQueue int
 
-	// CoalesceWindow is how long the first small job of a shape waits
-	// for companions before its batch executes. Default 200µs;
-	// negative disables coalescing.
-	CoalesceWindow time.Duration
-
-	// CoalesceLimit is the per-job payload ceiling for coalescing
-	// eligibility. Default 32 KiB.
-	CoalesceLimit int64
-
-	// CoalesceMax caps jobs per batch; a full batch executes without
-	// waiting out the window. Default 64.
-	CoalesceMax int
-
 	// MaxData is the negotiated data-frame payload ceiling. Default
 	// wire.DefaultMaxData.
 	MaxData int
@@ -134,15 +121,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 256
 	}
-	if c.CoalesceWindow == 0 {
-		c.CoalesceWindow = 200 * time.Microsecond
-	}
-	if c.CoalesceLimit <= 0 {
-		c.CoalesceLimit = 32 << 10
-	}
-	if c.CoalesceMax <= 0 {
-		c.CoalesceMax = 64
-	}
 	if c.MaxData <= 0 {
 		c.MaxData = wire.DefaultMaxData
 	}
@@ -157,7 +135,6 @@ type Server struct {
 	cfg    Config
 	reg    *stats.Registry
 	adm    *admitter
-	coal   *coalescer
 	spills *spillRegistry
 
 	mu     sync.Mutex
@@ -166,16 +143,14 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	jobs             *stats.Counter
-	jobsInMem        *stats.Counter
-	jobsSpilled      *stats.Counter
-	coalescedBatches *stats.Counter
-	coalescedJobs    *stats.Counter
-	resumes          *stats.Counter
-	bytesIn          *stats.Counter
-	bytesOut         *stats.Counter
-	protoErrs        *stats.Counter
-	connLvl          *stats.Level
+	jobs        *stats.Counter
+	jobsInMem   *stats.Counter
+	jobsSpilled *stats.Counter
+	resumes     *stats.Counter
+	bytesIn     *stats.Counter
+	bytesOut    *stats.Counter
+	protoErrs   *stats.Counter
+	connLvl     *stats.Level
 }
 
 // New builds a server from cfg, adopting any spilled jobs already
@@ -189,9 +164,6 @@ func New(cfg Config) (*Server, error) {
 		conns: make(map[net.Conn]struct{}),
 	}
 	s.adm = newAdmitter(cfg.MaxInFlightBytes, cfg.MaxWait, cfg.MaxQueue, s.reg)
-	if cfg.CoalesceWindow > 0 {
-		s.coal = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMax, s.execBatch)
-	}
 	if cfg.SpillDir != "" {
 		sp, err := openSpillRegistry(cfg.SpillDir)
 		if err != nil {
@@ -202,8 +174,6 @@ func New(cfg Config) (*Server, error) {
 	s.jobs = s.reg.Counter("server_jobs")
 	s.jobsInMem = s.reg.Counter("server_jobs_inmem")
 	s.jobsSpilled = s.reg.Counter("server_jobs_spilled")
-	s.coalescedBatches = s.reg.Counter("server_coalesced_batches")
-	s.coalescedJobs = s.reg.Counter("server_coalesced_jobs")
 	s.resumes = s.reg.Counter("server_resumes")
 	s.bytesIn = s.reg.Counter("server_bytes_in")
 	s.bytesOut = s.reg.Counter("server_bytes_out")
@@ -413,19 +383,12 @@ func checkJob(rows, cols uint64, elem uint32) (jobGeom, error) {
 		return jobGeom{}, errBadElem
 	}
 	g.total = int64(total)
-	// In memory the job runs through Transpose with default options or,
-	// coalesced, as one matrix of a TransposeBatch, which runs each
-	// matrix on a single-worker planner, at most one per worker at a
-	// time. Wisdom may set either planner's direction, workers and tile
-	// width, so the job is charged the larger scratch of the two plans
-	// as they resolve.
-	floor := 0
-	for _, workers := range [2]int{0, 1} {
-		b, err := inplace.ScratchBytes(g.rows, g.cols, g.elem, inplace.Options{Workers: workers})
-		if err != nil {
-			return jobGeom{}, err
-		}
-		floor = max(floor, b)
+	// In memory the job runs through TransposeElem with default options,
+	// so it is charged the scratch of that plan as it resolves, wisdom
+	// included.
+	floor, err := inplace.ScratchBytes(g.rows, g.cols, g.elem, inplace.Options{})
+	if err != nil {
+		return jobGeom{}, err
 	}
 	g.floor = int64(floor)
 	return g, nil
@@ -493,8 +456,8 @@ func (s *Server) serveJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderL
 	return s.serveSpillJob(br, bw, hdr, job.Token, g)
 }
 
-// serveMemJob is the in-memory data plane: admit, upload, transpose
-// (coalesced when small), stream back.
+// serveMemJob is the in-memory data plane: admit, upload, transpose,
+// stream back.
 func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.HeaderLen]byte, token uint64, g jobGeom, cost int64) error {
 	release, ok, werr := s.admitOrReport(bw, hdr, cost)
 	if !ok {
@@ -519,18 +482,12 @@ func (s *Server) serveMemJob(br *bufio.Reader, bw *bufio.Writer, hdr *[wire.Head
 		return err
 	}
 
-	var xerr error
-	if s.coal != nil && g.total <= s.cfg.CoalesceLimit {
-		xerr = s.coal.submit(coalesceKey{rows: g.rows, cols: g.cols, elem: g.elem}, buf)
-	} else {
-		xerr = transposeMem(buf, g.rows, g.cols, g.elem)
-	}
-	if xerr != nil {
+	if err := transposeMem(buf, g.rows, g.cols, g.elem); err != nil {
 		code := wire.CodeInternal
-		if errors.Is(xerr, errBadElem) {
+		if errors.Is(err, errBadElem) {
 			code = wire.CodeBadShape
 		}
-		return s.writeError(bw, hdr, code, 0, xerr.Error())
+		return s.writeError(bw, hdr, code, 0, err.Error())
 	}
 
 	return s.sendResult(bw, hdr, token, wire.ModeMemory, wire.ResultCRC(0, buf), func(yield func([]byte) error) error {
@@ -832,32 +789,4 @@ func (s *Server) writeError(bw *bufio.Writer, hdr *[wire.HeaderLen]byte, code ui
 		return err
 	}
 	return bw.Flush()
-}
-
-// execBatch is the coalescer's executor: members of one group share a
-// shape, so their payloads concatenate into a single TransposeBatch
-// call on the shared planner. A group of one skips the staging copies.
-func (s *Server) execBatch(key coalesceKey, members []*coMember) {
-	if len(members) == 1 {
-		members[0].err <- transposeMem(members[0].data, key.rows, key.cols, key.elem)
-		return
-	}
-	s.coalescedBatches.Inc()
-	s.coalescedJobs.Add(uint64(len(members)))
-	per := len(members[0].data)
-	stagingp := getBuf(per * len(members))
-	staging := (*stagingp)[:per*len(members)]
-	for i, m := range members {
-		copy(staging[i*per:], m.data)
-	}
-	err := transposeBatchMem(staging, len(members), key.rows, key.cols, key.elem)
-	if err == nil {
-		for i, m := range members {
-			copy(m.data, staging[i*per:(i+1)*per])
-		}
-	}
-	putBuf(stagingp)
-	for _, m := range members {
-		m.err <- err
-	}
 }

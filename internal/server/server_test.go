@@ -21,7 +21,7 @@ import (
 
 // startServer launches a server on an ephemeral port and returns it
 // with its address; the cleanup closes it.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -122,6 +122,58 @@ func TestBadShapeAndUnknownToken(t *testing.T) {
 	}
 }
 
+// TestCheckJob pins the daemon's guard on wire geometry and the charge
+// it hands admission: every shape it refuses is errBadElem, and an
+// accepted shape costs its payload plus the scratch of the one plan an
+// in-memory job runs, TransposeElem's default.
+func TestCheckJob(t *testing.T) {
+	const maxDim = 1 << 31
+	for _, c := range []struct {
+		name       string
+		rows, cols uint64
+		elem       uint32
+	}{
+		{"zero rows", 0, 8, 4},
+		{"zero cols", 8, 0, 4},
+		{"rows past 2^31", maxDim + 1, 8, 4},
+		{"cols past 2^31", 8, maxDim + 1, 4},
+		{"elem 3", 8, 8, 3},
+		{"elem 16", 8, 8, 16},
+		{"byte count overflows int", maxDim, maxDim, 8},
+	} {
+		if _, err := checkJob(c.rows, c.cols, c.elem); !errors.Is(err, errBadElem) {
+			t.Errorf("%s: err = %v, want errBadElem", c.name, err)
+		}
+	}
+
+	for _, c := range []struct {
+		rows, cols, elem int
+	}{
+		{8, 1024, 4}, // serve's tiny class
+		{1000, 1000, 4},
+		{100000, 8, 8},
+		{maxDim, maxDim, 1}, // the largest shape the guard accepts
+	} {
+		g, err := checkJob(uint64(c.rows), uint64(c.cols), uint32(c.elem))
+		if err != nil {
+			t.Fatalf("%dx%d elem %d: %v", c.rows, c.cols, c.elem, err)
+		}
+		floor, err := inplace.ScratchBytes(c.rows, c.cols, c.elem, inplace.Options{})
+		if err != nil {
+			t.Fatalf("%dx%d elem %d: ScratchBytes: %v", c.rows, c.cols, c.elem, err)
+		}
+		if total := int64(c.rows) * int64(c.cols) * int64(c.elem); g.total != total {
+			t.Errorf("%dx%d elem %d: total = %d, want %d", c.rows, c.cols, c.elem, g.total, total)
+		}
+		if g.floor != int64(floor) {
+			t.Errorf("%dx%d elem %d: floor = %d, want ScratchBytes %d", c.rows, c.cols, c.elem, g.floor, floor)
+		}
+		if got := g.memCost(); got != g.total+g.floor {
+			t.Errorf("%dx%d elem %d: memCost = %d, want total+floor %d", c.rows, c.cols, c.elem, got, g.total+g.floor)
+		}
+	}
+}
+
 func TestShedUnderPressure(t *testing.T) {
 	// Budget fits exactly one job; the second must queue and shed on
 	// the short deadline.
@@ -135,7 +187,6 @@ func TestShedUnderPressure(t *testing.T) {
 		MaxInFlightBytes: g.memCost(),
 		MaxWait:          50 * time.Millisecond,
 		MaxQueue:         4,
-		CoalesceWindow:   -1,
 	})
 
 	// Hold the budget with a job whose upload stalls.

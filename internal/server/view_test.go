@@ -46,36 +46,19 @@ func TestTransposeMemAllWidths(t *testing.T) {
 	}
 }
 
-func TestTransposeBatchMemMatchesSingles(t *testing.T) {
-	const count, rows, cols, elem = 5, 6, 4, 4
-	per := rows * cols * elem
-	raw := fillPattern(count * per)
-	want := make([]byte, 0, len(raw))
-	for i := 0; i < count; i++ {
-		want = append(want, refTranspose(raw[i*per:(i+1)*per], rows, cols, elem)...)
-	}
-	if err := transposeBatchMem(raw, count, rows, cols, elem); err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	if !bytes.Equal(raw, want) {
-		t.Fatal("batch transpose mismatch")
-	}
-}
-
 func TestCheckGeomRejects(t *testing.T) {
 	cases := []struct {
-		name                    string
-		raw                     int
-		count, rows, cols, elem int
+		name             string
+		raw              int
+		rows, cols, elem int
 	}{
-		{"zero rows", 0, 1, 0, 4, 4},
-		{"zero cols", 0, 1, 4, 0, 4},
-		{"zero count", 16, 0, 2, 2, 4},
-		{"length mismatch", 15, 1, 2, 2, 4},
-		{"overflow", 8, 1, 1 << 31, 1 << 31, 8},
+		{"zero rows", 0, 0, 4, 4},
+		{"zero cols", 0, 4, 0, 4},
+		{"length mismatch", 15, 2, 2, 4},
+		{"overflow", 8, 1 << 31, 1 << 31, 8},
 	}
 	for _, c := range cases {
-		if err := checkGeom(make([]byte, c.raw), c.count, c.rows, c.cols, c.elem); !errors.Is(err, errBadElem) {
+		if err := checkGeom(make([]byte, c.raw), c.rows, c.cols, c.elem); !errors.Is(err, errBadElem) {
 			t.Fatalf("%s: err = %v, want errBadElem", c.name, err)
 		}
 	}

@@ -65,8 +65,7 @@ const (
 
 // Job execution modes, carried in Accept and Result.
 const (
-	// ModeMemory: the job runs through the in-memory planner cache
-	// (possibly coalesced into a batch).
+	// ModeMemory: the job runs through the in-memory planner cache.
 	ModeMemory uint8 = 0
 	// ModeSpill: the job spills through the out-of-core engine with a
 	// journaled temp file; it is resumable by token after a disconnect.
