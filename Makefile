@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
+.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-smoke bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
 
 # ci is the full gate: static checks (vet plus the xposelint suite,
 # with its golden tests re-run under the race detector and a wall-clock
 # budget on the full-repo lint), build, tests (also at GOMAXPROCS 1, 2
 # and 4), the race detector (short mode keeps the race shapes small), a
 # capped autotuner run, an out-of-core round trip on a real temp file,
-# the daemon selftest, the benchmark regression gate against the
+# the daemon selftest, one round of the engine-pass and daemon
+# round-trip benchmarks, the benchmark regression gate against the
 # committed baseline, and a best-effort vulnerability scan.
-ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-gate vuln
+ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-smoke bench-gate vuln
 
 vet:
 	$(GO) vet ./...
@@ -100,6 +101,13 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchmem .
+
+# bench-smoke runs one round of each engine-pass and daemon round-trip
+# benchmark. They reach into unexported engine methods and the test
+# server, which `go test` only compiles; one round proves they still
+# run.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'EnginePasses|TinyJobRoundTrip' -benchtime 1x ./internal/core ./internal/server
 
 # bench-gate is the perf-regression gate: measure the quick preset (an
 # anchored -run pattern pins the micro families so the run stays in the

@@ -77,11 +77,24 @@ func TestExecuteZeroAllocGcdShapes(t *testing.T) {
 }
 
 func TestExecuteZeroAllocRowKernels(t *testing.T) {
-	// One shape per row-shuffle kernel: the b = 1 rotation (square), the
-	// a = 1 interleave in both directions, and the stride-table gather
-	// on a coprime shape (the gcd shapes above run it too).
-	for _, sh := range [][2]int{{256, 256}, {16, 4096}, {4096, 16}, {250, 257}} {
+	// One shape per row-shuffle kernel: the b = 1 rotation (n | m under
+	// ForceC2R; a square runs the swap sweep instead), the a = 1
+	// interleave in both directions, and the stride-table gather on a
+	// coprime shape (the gcd shapes above run it too).
+	requireZeroAllocs(t, 512, 256, inplace.Options{Workers: 1, Direction: inplace.ForceC2R})
+	for _, sh := range [][2]int{{16, 4096}, {4096, 16}, {250, 257}} {
 		requireZeroAllocs(t, sh[0], sh[1], inplace.Options{Workers: 1})
+	}
+}
+
+func TestExecuteZeroAllocSquare(t *testing.T) {
+	// A square runs the swap sweep: through one staging tile on one
+	// worker, and on two through the shared pool, whose dispatch reuses
+	// the state's body and a recycled WaitGroup. 300×300 has an odd
+	// tile-row count, so its middle band pairs with itself.
+	for _, n := range []int{512, 300} {
+		requireZeroAllocs(t, n, n, inplace.Options{Workers: 1})
+		requireZeroAllocs(t, n, n, inplace.Options{Workers: 2})
 	}
 }
 

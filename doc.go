@@ -80,7 +80,11 @@
 // shapes, and the heuristic picks the pipeline whose internal columns
 // are shorter (see Options.Direction to force either). On skinny AoS
 // shapes that keeps every column operation within the structure
-// dimension, the §6.1 specialization. Algorithm 1 and the paper's
+// dimension, the §6.1 specialization. A square transpose is an
+// involution, whose C2R and R2C are the same permutation, so a square
+// runs neither pipeline: whatever the direction, it makes one sweep of
+// swaps between mirrored tile pairs, staged through one B×B tile per
+// worker, B from Options.BlockWidth or derived. Algorithm 1 and the paper's
 // coarse/fine column kernels remain in internal/core as reproduction
 // code for the figures and ablations; no public entry point runs them.
 //

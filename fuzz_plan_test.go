@@ -28,6 +28,13 @@ func FuzzPlannerReuse(f *testing.F) {
 	f.Add(uint16(251), uint16(1), uint8(0), uint8(2), uint8(2))  // degenerate column
 	f.Add(uint16(512), uint16(8), uint8(4), uint8(0), uint8(8))  // skinny, many workers
 	f.Add(uint16(30), uint16(42), uint8(3), uint8(1), uint8(1))  // gcd 6, forced C2R
+
+	// Squares, which run the swap sweep in every direction.
+	f.Add(uint16(0), uint16(0), uint8(0), uint8(2), uint8(2))     // 1×1: one tile, no stage
+	f.Add(uint16(1), uint16(1), uint8(1), uint8(1), uint8(1))     // 2×2 in one-column tiles
+	f.Add(uint16(63), uint16(63), uint8(0), uint8(0), uint8(2))   // 64: one derived tile
+	f.Add(uint16(64), uint16(64), uint8(0), uint8(2), uint8(3))   // 65: a one-element last band
+	f.Add(uint16(511), uint16(511), uint8(0), uint8(1), uint8(4)) // 512: eight bands on four workers
 	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, blockRaw, dirRaw, workersRaw uint8) {
 		rows := int(mRaw%3000) + 1
 		cols := int(nRaw%3000) + 1

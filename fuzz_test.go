@@ -31,6 +31,13 @@ func FuzzTranspose(f *testing.F) {
 	f.Add(uint16(12), uint16(4), uint8(3), uint8(1))
 	f.Add(uint16(16), uint16(96), uint8(0), uint8(0))
 	f.Add(uint16(60), uint16(84), uint8(3), uint8(2))
+	// Squares, which run the swap sweep in every direction: sides 1, 2,
+	// 64, 65 and 128, the largest this target's shape cap allows.
+	f.Add(uint16(0), uint16(0), uint8(1), uint8(1))
+	f.Add(uint16(1), uint16(1), uint8(2), uint8(2))
+	f.Add(uint16(63), uint16(63), uint8(0), uint8(1))
+	f.Add(uint16(64), uint16(64), uint8(3), uint8(2))
+	f.Add(uint16(127), uint16(127), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, mRaw, nRaw uint16, blockRaw, dirRaw uint8) {
 		rows := int(mRaw%128) + 1
 		cols := int(nRaw%128) + 1

@@ -29,12 +29,15 @@ type Options struct {
 	// Order is the linearization of the input array (default RowMajor).
 	Order Order
 	// BlockWidth overrides the tile width, in columns, of the tiled
-	// column passes. 0 derives it from the shape and element size: a
-	// tile row of at least one 64-byte cache line, four when the rows
-	// lie a page or more apart, and a wide tile of at most 16 KiB.
+	// column passes, and for a square the side B of the swap sweep's
+	// B×B tiles. 0 derives it from the shape and element size: a tile
+	// row of at least one 64-byte cache line, four when the rows lie a
+	// page or more apart, and a wide tile of at most 16 KiB; for a
+	// square, B = 64, halved while a B×B staging tile exceeds 32 KiB.
 	BlockWidth int
 	// Direction forces the C2R or R2C formulation instead of the
-	// shape heuristic. Zero is the heuristic.
+	// shape heuristic. Zero is the heuristic. A square runs the same
+	// swap sweep in either direction, so there it changes nothing.
 	Direction Direction
 	// Tuning controls whether the planner consults the process wisdom
 	// table (measured-optimal decisions recorded by Tune or loaded with
@@ -96,9 +99,11 @@ const (
 	// columns — C2R when rows <= cols, R2C otherwise — combining the two
 	// complementary performance landscapes as §5.2 prescribes.
 	HeuristicDirection Direction = iota
-	// ForceC2R always uses the C2R pipeline.
+	// ForceC2R always uses the C2R pipeline. On a square, whose C2R
+	// and R2C are one permutation, both run the one swap sweep.
 	ForceC2R
-	// ForceR2C always uses the R2C pipeline.
+	// ForceR2C always uses the R2C pipeline; on a square, the swap
+	// sweep.
 	ForceR2C
 )
 
@@ -250,8 +255,10 @@ func newPlanElem(rows, cols int, o Options, elemSize int) (*Plan, error) {
 // Transpose, TransposeWith; with opts.Workers 1, one matrix of
 // TransposeBatch), wisdom included: the direction, worker count and
 // tile width it resolves set the engine's per-worker scratch buffers.
-// Concurrent executions each hold their own. The figure saturates at
-// the largest int.
+// A square holds one B×B staging tile per worker that takes a share of
+// its swap sweep, and none when one tile covers it. Concurrent
+// executions each hold their own. The figure saturates at the largest
+// int.
 func ScratchBytes(rows, cols, elemSize int, opts Options) (int, error) {
 	if elemSize <= 0 {
 		return 0, fmt.Errorf("%w: %d", ErrElemSize, elemSize)
@@ -270,7 +277,8 @@ func (p *Plan) Rows() int { return p.rows }
 func (p *Plan) Cols() int { return p.cols }
 
 // UsesC2R reports whether the plan runs the C2R pipeline (as opposed to
-// R2C).
+// R2C). It reports the direction the plan resolved even for a square,
+// where both directions run the same swap sweep.
 func (p *Plan) UsesC2R() bool { return p.useC2R }
 
 // Workers returns the worker count the plan resolved (0 = GOMAXPROCS),

@@ -363,20 +363,37 @@ func tileEdgeCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, worker
 	}
 }
 
+// A square plan runs the swap sweep in both directions. It must be
+// exact at every tile edge: one tile covering the matrix (B ≥ n), a
+// narrower last band, an odd tile-row count whose middle band pairs
+// with itself, one-element tiles, and more workers than band pairs.
+func TestSquareSwap(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 31, 63, 64, 65, 127, 128, 129, 200, 257} {
+		for _, bw := range []int{0, 1, 3, 7, 64, n, n + 5} {
+			for _, workers := range []int{1, 2, 3, 4} {
+				tileEdgeCase[uint8](t, n, n, workers, bw)
+				tileEdgeCase[uint16](t, n, n, workers, bw)
+				tileEdgeCase[uint32](t, n, n, workers, bw)
+				tileEdgeCase[uint64](t, n, n, workers, bw)
+			}
+		}
+	}
+}
+
 func TestTileWidth(t *testing.T) {
 	for _, c := range []struct {
 		m, n, elem, blockW, want int
 	}{
-		{2896, 2896, 8, 0, 32},        // rows a page apart: four lines
+		{2880, 3000, 8, 0, 32},        // rows a page apart: four lines
 		{2797, 3000, 8, 0, 32},        // rows a page apart: four lines of u64
 		{2797, 3000, 4, 0, 64},        // rows a page apart: four lines of u32
-		{512, 512, 8, 0, 32},          // rows exactly a page apart
+		{511, 512, 8, 0, 32},          // rows exactly a page apart
 		{1024, 511, 8, 0, 8},          // rows just under a page apart: one line
 		{511, 1024, 8, 0, 32},         // the same matrix's other plan
-		{1000, 1000, 4, 0, 16},        // rows under a page apart: one line
-		{2896, 2896, 1, 0, 64},        // rows under a page apart: one line of bytes
-		{4096, 4096, 8, 0, 32},        // the most rows that take four lines
-		{4097, 4097, 8, 0, 8},         // m > 4096: one line
+		{1000, 1001, 4, 0, 16},        // rows under a page apart: one line
+		{2896, 2897, 1, 0, 64},        // rows under a page apart: one line of bytes
+		{4096, 4097, 8, 0, 32},        // the most rows that take four lines
+		{4097, 4098, 8, 0, 8},         // m > 4096: one line
 		{100, 1366, 3, 0, 85},         // 4098-byte rows: four lines of 3-byte elements
 		{100, 1365, 3, 0, 21},         // 4095-byte rows: one line
 		{4, 1 << 22, 4, 0, 1024},      // aos_f4: a 16 KiB tile
@@ -389,8 +406,23 @@ func TestTileWidth(t *testing.T) {
 		{12, 5, 1, 0, 5},              // clamped to n
 		{12, 20, 8, 33, 20},           // forced, clamped to n
 		{12, 20, 8, 3, 3},             // forced
-		{1 << 20, 1 << 20, 64, 0, 1},  // 64-byte elements: one per line
-		{1 << 20, 1 << 20, 128, 0, 1}, // wider than a line still tiles
+		{1 << 20, 1 << 19, 64, 0, 1},  // 64-byte elements: one per line
+		{1 << 20, 1 << 19, 128, 0, 1}, // wider than a line still tiles
+		// Square plans: the swap sweep's B, 64 while the B×B stage
+		// stays within 32 KiB.
+		{2896, 2896, 8, 0, 64},        // inmem t2d_gcd: a 32 KiB stage
+		{2896, 2896, 4, 0, 64},        // a 16 KiB stage
+		{2896, 2896, 1, 0, 64},        // bytes: still 64
+		{1000, 1000, 4, 0, 64},        // a serve mid shape
+		{512, 512, 8, 0, 64},          // rows exactly a page apart
+		{4097, 4097, 8, 0, 64},        // no row-count gate
+		{300, 300, 16, 0, 32},         // 16-byte elements: a 16 KiB stage
+		{300, 300, 128, 0, 16},        // 128-byte elements: a 32 KiB stage
+		{1 << 20, 1 << 20, 64, 0, 16}, // 64-byte elements: a 16 KiB stage
+		{48, 48, 8, 0, 48},            // clamped to n: one tile
+		{1, 1, 8, 0, 1},               // 1×1
+		{300, 300, 8, 100, 100},       // forced
+		{300, 300, 8, 500, 300},       // forced, clamped to n
 	} {
 		if got := TileWidth(c.m, c.n, c.elem, c.blockW); got != c.want {
 			t.Errorf("TileWidth(%d, %d, %d, %d) = %d, want %d", c.m, c.n, c.elem, c.blockW, got, c.want)
@@ -490,8 +522,24 @@ func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers
 		widestTab = max(widestTab, cap(fr.tab))
 	}
 	name := fmt.Sprintf("%dx%d elem %d workers %d", m, n, es, workers)
-	if figure := PlanScratchBytes(plan, o, es); held > figure {
+	figure := PlanScratchBytes(plan, o, es)
+	if held > figure {
 		t.Errorf("%s: state holds %d bytes, PlanScratchBytes says %d", name, held, figure)
+	}
+	if m == n {
+		// The swap sweep: one B×B staging tile per worker with a
+		// chunk of band pairs, none when one tile covers the matrix,
+		// and the figure exact.
+		w, chunks := eng.tileW, len(eng.boundsTiles)-1
+		want, stage := 0, 0
+		if w < n {
+			want, stage = chunks*w*w*es, w*w
+		}
+		if held != want || figure != want || widest != stage || widestTab != 0 {
+			t.Errorf("%s: B %d, %d chunks: state holds %d bytes (widest frame %d elements, table %d), figure %d, want %d",
+				name, w, chunks, held, widest, widestTab, figure, want)
+		}
+		return
 	}
 	if w := eng.tileW; m > 1 && widest < max(n, m*w) {
 		t.Errorf("%s: widest frame %d elements, want max(n, m·W) = %d", name, widest, max(n, m*w))
@@ -507,8 +555,10 @@ func TestScratchBytesBoundsExecution(t *testing.T) {
 	for _, sh := range [][2]int{
 		{1, 1}, {2, 3}, {5, 7}, // tiny
 		{3, 4096}, {4096, 3}, {16, 20000}, {20000, 16}, {20000, 6}, // skinny
-		{96, 100}, {250, 256}, {300, 300}, // near-square
+		{96, 100}, {250, 256}, {299, 300}, // near-square
 		{300, 1100}, {600, 520}, {1100, 300}, // rows a page apart at 4 and 8 bytes; the last keeps one line
+		{300, 300}, {512, 512}, {1024, 1024}, // square: the swap sweep
+		{64, 64}, {65, 65}, // square: one tile covers, and just not
 	} {
 		for _, workers := range []int{1, 2, 4} {
 			scratchCase[uint8](t, sh[0], sh[1], workers)

@@ -9,8 +9,9 @@ import (
 type Opts struct {
 	// Workers is the number of goroutines to use; 0 means GOMAXPROCS.
 	Workers int
-	// BlockW is the tile width, in columns, of the tiled column passes;
-	// 0 derives it from the shape and element size (see TileWidth).
+	// BlockW is the tile width, in columns, of the tiled column passes,
+	// or the side of a square plan's swap tiles; 0 derives it from the
+	// shape and element size (see TileWidth).
 	BlockW int
 	// Pool, when non-nil, dispatches parallel chunks onto a persistent
 	// worker pool instead of spawning goroutines per pass. Engines never

@@ -19,10 +19,14 @@ type Engine[T any] struct {
 	s      *Schedule
 	states *arena.Pool[execState[T]]
 
-	// Tile geometry of the column passes, which depends on the element
-	// size: the tile width, the chunk partition over the ⌈n/tileW⌉
-	// column tiles, and the m·tileW elements a tile takes in its
-	// worker's scratch buffer (see ScratchBytes).
+	// Tile geometry, which depends on the element size: the tile width
+	// and the elements a tile takes in its worker's scratch buffer (see
+	// ScratchBytes), with the chunk partition of the tiled sweeps. A
+	// rectangular plan's column passes share out its ⌈n/tileW⌉ column
+	// tiles, each m·tileW elements; a square plan's swap sweep shares
+	// out its band pairs, each staged through one tileW×tileW tile, or
+	// none when one tile covers the matrix (swap.go).
+	square      bool
 	tileW       int
 	boundsTiles []int
 	tileLen     int
@@ -44,6 +48,13 @@ func NewEngine[T any](s *Schedule) *Engine[T] {
 	p := s.Plan
 	m, n := p.M, p.N
 	e.tileW = TileWidth(m, n, es, s.Opts.BlockW)
+	if e.square = m == n; e.square {
+		e.boundsTiles = parallel.Bounds(swapPairs(n, e.tileW), s.workers, 1)
+		if e.tileW < n {
+			e.tileLen = e.tileW * e.tileW // below n·n, which fits
+		}
+		return e
+	}
 	e.boundsTiles = parallel.Bounds((n+e.tileW-1)/e.tileW, s.workers, 1)
 	var ok bool
 	if e.tileLen, ok = mathutil.CheckedMul(m, e.tileW); !ok {
@@ -89,11 +100,16 @@ func (e *Engine[T]) R2C(data []T) {
 // c2r composes the C2R transpose from three sweeps: the tiled
 // pre-rotation (only when gcd(m,n) > 1), the row shuffle of
 // rowshuffle.go, and the tiled column shuffle s'_j = p_j∘q fused into
-// one gather (Equations 23, 24, 26, 32–33). st is the execution's
-// scratch state.
+// one gather (Equations 23, 24, 26, 32–33). A square plan, whose C2R
+// and R2C are the same involution, runs the one swap sweep of swap.go
+// instead. st is the execution's scratch state.
 //
 //xpose:hotpath
 func (e *Engine[T]) c2r(data []T, st *execState[T]) {
+	if e.square {
+		e.swapPass(data, st)
+		return
+	}
 	if !e.s.Plan.Coprime {
 		e.tilePass(data, st, tilePreRotate)
 	}
@@ -101,10 +117,15 @@ func (e *Engine[T]) c2r(data []T, st *execState[T]) {
 	e.tilePass(data, st, tileShuffle)
 }
 
-// r2c inverts the C2R transpose sweep by sweep (§4.3).
+// r2c inverts the C2R transpose sweep by sweep (§4.3), or runs the
+// swap sweep of a square plan.
 //
 //xpose:hotpath
 func (e *Engine[T]) r2c(data []T, st *execState[T]) {
+	if e.square {
+		e.swapPass(data, st)
+		return
+	}
 	e.tilePass(data, st, tileShuffleInv)
 	e.shufflePass(data, st, false)
 	if !e.s.Plan.Coprime {
@@ -185,6 +206,27 @@ func (e *Engine[T]) tilePass(data []T, st *execState[T], mode tileMode) {
 	})
 }
 
+// swapPass runs the swap sweep of a square plan over every band pair.
+// Its multi-worker dispatch reuses the state's swap body, built on the
+// state's first such sweep, which reads the buffer from st.data: a warm
+// sweep builds no closure.
+func (e *Engine[T]) swapPass(data []T, st *execState[T]) {
+	n, b, tileLen := e.s.Plan.N, e.tileW, e.tileLen
+	bounds := e.boundsTiles
+	if len(bounds) == 2 {
+		swapBands(data, n, b, st.frames[0].elems(tileLen), bounds[0], bounds[1])
+		return
+	}
+	if st.swap == nil {
+		st.swap = func(w, lo, hi int) {
+			swapBands(st.data, n, b, st.frames[w].elems(tileLen), lo, hi)
+		}
+	}
+	st.data = data
+	e.s.dispatch(bounds, st.swap)
+	st.data = nil
+}
+
 // --- Execution state ---
 
 // execState is the private scratch of one execution: a frame per worker
@@ -193,6 +235,11 @@ func (e *Engine[T]) tilePass(data []T, st *execState[T], mode tileMode) {
 // thereafter.
 type execState[T any] struct {
 	frames []frame[T]
+
+	// swap is the square sweep's multi-worker body and data the buffer
+	// it transposes, set for the duration of one sweep (see swapPass).
+	swap func(worker, lo, hi int)
+	data []T
 }
 
 func newExecState[T any](s *Schedule) *execState[T] {
@@ -200,8 +247,9 @@ func newExecState[T any](s *Schedule) *execState[T] {
 }
 
 // frame is the per-worker scratch of one execution: the permute-through
-// buffer shared by the row passes and the column tiles, the tile's
-// rotation amounts and the row shuffle's stride table. Buffers grow on
+// buffer shared by the row passes and the column tiles (for a square
+// plan, its staging tile), the tile's rotation amounts and the row
+// shuffle's stride table. Buffers grow on
 // demand and keep their capacity across recycled executions.
 type frame[T any] struct {
 	tmp []T

@@ -1,13 +1,15 @@
 // Package core implements the in-place transposition engine of the
-// paper. Engine runs the C2R and R2C transpositions in at most three
-// sweeps over the matrix, two when gcd(m,n) = 1: the column operations
-// as one-sweep tiled gathers through the closed-form source rows, with
-// the column shuffle's rotation and row permutation fused (§4.6, §4.7,
-// §5.2; tile.go), and the row shuffle as a rotation, a blocked
-// interleave or a gather through one shared stride table, by shape
-// (rowshuffle.go). With the planner's direction heuristic, skinny
-// AoS↔SoA shapes keep every column operation within their tiny
-// dimension, which is the §6.1 specialization.
+// paper. Engine runs the C2R and R2C transpositions of a rectangular
+// plan in at most three sweeps over the matrix, two when gcd(m,n) = 1:
+// the column operations as one-sweep tiled gathers through the
+// closed-form source rows, with the column shuffle's rotation and row
+// permutation fused (§4.6, §4.7, §5.2; tile.go), and the row shuffle as
+// a rotation, a blocked interleave or a gather through one shared
+// stride table, by shape (rowshuffle.go). With the planner's direction
+// heuristic, skinny AoS↔SoA shapes keep every column operation within
+// their tiny dimension, which is the §6.1 specialization. A square
+// plan, whose transpose is an involution, runs one sweep of tile-pair
+// swaps in either direction instead (swap.go).
 //
 // The package also keeps reproduction code: the elementary passes of
 // Algorithm 1 and its gather-only form (passes.go, composed by

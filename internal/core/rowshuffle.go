@@ -19,8 +19,10 @@ import (
 // t = u₁·a⁻¹ mod b that is u₀ + c·(((t + r)·a) mod b): a read of one
 // shared table at offset t. Three shapes of plan follow:
 //
-//   - b = 1 (squares, and n | m): d'_i(j) = (i + j) mod n, so every
-//     row rotates by i mod n.
+//   - b = 1 (n | m): d'_i(j) = (i + j) mod n, so every row rotates
+//     by i mod n. Squares have b = 1 too, but the engine runs their
+//     swap sweep (swap.go) instead of the decomposition; only the
+//     reproduction entry point PassRowShuffle rotates a square's rows.
 //   - a = 1 (m | n: AoS records, NHWC slabs): u = (i + k) mod c and the
 //     stride walk is the identity, so every row is a c×b ↔ b×c
 //     interleave with its c index rotated by i — the CPU analogue of

@@ -9,10 +9,10 @@ import (
 	"inplace/internal/parallel"
 )
 
-// This file implements the column passes of the Engine as one-sweep
-// tiled gathers. Every column operation of the decomposition
-// permutes each column independently, and the paper gives each one a
-// closed-form source row:
+// This file implements the column passes of the Engine for rectangular
+// plans as one-sweep tiled gathers. Every column operation of the
+// decomposition permutes each column independently, and the paper gives
+// each one a closed-form source row:
 //
 //	pre-rotation        (i + ⌊j/b⌋) mod m      (Eq. 23)
 //	its inverse         (i − ⌊j/b⌋) mod m      (Eq. 36)
@@ -28,6 +28,10 @@ import (
 // or R2C makes at most three sweeps over the matrix: two tiled column
 // passes and the row shuffle, or one and the row shuffle when
 // gcd(m, n) = 1.
+//
+// A square plan runs none of these passes, nor the row shuffle: its one
+// sweep swaps tile pairs through a B×B staging tile (swap.go), and
+// TileWidth resolves B.
 //
 // The tile geometry follows what a tile touches: lines and pages, not
 // index arithmetic. On a tall plan whose rows lie a page or more apart,
@@ -49,12 +53,25 @@ const (
 	tileMaxBytes  = 16 << 10
 )
 
+// Swap tiles: a square plan's B×B staging tile is at most swapTileMax
+// elements a side and swapStageBytes in all.
+const (
+	swapTileMax    = 64
+	swapStageBytes = 32 << 10
+)
+
 // intBytes is the size of one rotation-amount entry.
 const intBytes = int(unsafe.Sizeof(int(0)))
 
-// TileWidth resolves the column-tile width of the tiled column passes
-// for an m×n plan of elemSize-byte elements. A positive blockW is
-// taken as given; otherwise, with e = elemSize,
+// TileWidth resolves the tile width of an m×n plan of elemSize-byte
+// elements: the column-tile width W of the tiled column passes, or for
+// a square plan the side B of the swap sweep's tiles. A positive
+// blockW is taken as given. Otherwise a square plan takes B = 64,
+// halved while the B×B staging tile exceeds 32 KiB, so that it stays in
+// a 48 KiB L1d beside the row segments it swaps against: of B 16 to 256
+// on the squares measured, 64 was the fastest at 4 and 8 bytes and
+// within 16% of the fastest at 1 and 2 (EXPERIMENTS.md). Any other plan
+// takes, with e = elemSize,
 //
 //	floor = 256/e if m ≤ 4096 and n·e ≥ 4096, else 64/e
 //	W     = max(floor, min(16384/(m·e), max(m,n)/m)),
@@ -68,6 +85,12 @@ const intBytes = int(unsafe.Sizeof(int(0)))
 // [1, n].
 func TileWidth(m, n, elemSize, blockW int) int {
 	w := blockW
+	if w <= 0 && m == n {
+		w = swapTileMax
+		for w > 1 && w*w > swapStageBytes/max(elemSize, 1) {
+			w /= 2
+		}
+	}
 	if w <= 0 {
 		es := max(elemSize, 1)
 		floor := tileLineBytes / es
@@ -85,7 +108,14 @@ func TileWidth(m, n, elemSize, blockW int) int {
 
 // ScratchBytes is the scratch one execution of the engine holds for an
 // m×n plan of elemSize-byte elements run by workers workers with tile
-// width w (see TileWidth). The row passes share out the m rows, so at
+// width w (see TileWidth).
+//
+// A square plan's swap sweep shares out its P = ⌈⌈n/w⌉/2⌉ band pairs
+// in min(workers, P) chunks or fewer, as parallel.Bounds cuts them, and
+// each worker with a chunk holds one w×w staging tile: the figure is
+// chunks·w²·elemSize, and 0 when one tile covers the matrix (w ≥ n).
+//
+// Any other plan's row passes share out the m rows, so at
 // most min(workers, m) workers hold the row shuffle's n-element
 // permute-through buffer and, when the plan's row shuffle gathers
 // through a stride table (a, b > 1; see rowshuffle.go), its 2b int32
@@ -99,6 +129,16 @@ func TileWidth(m, n, elemSize, blockW int) int {
 // It saturates at math.MaxInt, which no budget admits.
 func ScratchBytes(m, n, elemSize, workers, w int) int {
 	workers = max(workers, 1)
+	if m == n {
+		w = max(w, 1)
+		if w >= n {
+			return 0
+		}
+		pairs := swapPairs(n, w)
+		per := (pairs-1)/min(workers, pairs) + 1 // pairs per chunk
+		chunks := (pairs-1)/per + 1
+		return satMul(satMul(chunks, satMul(w, w)), elemSize)
+	}
 	r := min(workers, max(m, 1))
 	tile := satMul(m, w)
 	rowBytes := satAdd(satMul(max(n, tile), elemSize), rowTableBytes(m, n))

@@ -55,6 +55,12 @@ func (p *Pool) run() {
 	}
 }
 
+// waitGroups recycles the WaitGroups of ForBounds calls: the workers
+// hold a call's WaitGroup, so it lives on the heap, and a recycled one
+// keeps a warm dispatch of a prebuilt body free of allocation. A
+// WaitGroup is back at zero once Wait returns, ready for reuse.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+
 // ForBounds invokes body(worker, lo, hi) for each chunk of a Bounds
 // partition, like the package-level ForBounds, but on the pool's parked
 // workers instead of freshly spawned goroutines. The calling goroutine
@@ -71,10 +77,10 @@ func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 		body(0, bounds[0], bounds[1])
 		return
 	}
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	wg.Add(nchunks - 1)
 	for w := 1; w < nchunks; w++ {
-		t := poolTask{body: body, worker: w, lo: bounds[w], hi: bounds[w+1], wg: &wg}
+		t := poolTask{body: body, worker: w, lo: bounds[w], hi: bounds[w+1], wg: wg}
 		select {
 		case p.tasks <- t:
 		default:
@@ -84,6 +90,7 @@ func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 	}
 	body(0, bounds[0], bounds[1])
 	wg.Wait()
+	waitGroups.Put(wg)
 }
 
 // For divides [0, n) across at most `workers` chunks and runs them on the

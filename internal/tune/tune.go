@@ -14,9 +14,11 @@
 //
 // TuneFor is the 2D tuner. Its search is staged rather than exhaustive,
 // the FFTW-wisdom pattern scaled to this candidate space: stage 1 races
-// the C2R and R2C directions at the full worker budget, stage 2 sweeps
-// the worker ladder for the winning direction, and stage 3 times the
-// derived tile width W of the winning plan against W/2 and 2W. The
+// the C2R and R2C directions at the full worker budget (a square, whose
+// directions run the same swap sweep, times one), stage 2 sweeps the
+// worker ladder for the winning direction, and stage 3 times the
+// derived tile width W of the winning plan against W/2 and 2W — for a
+// square the side B of the swap tiles against B/2 and 2B. The
 // permutation, out-of-core and tile-store tuners live in the public
 // package and run the same Search.
 package tune
@@ -130,11 +132,14 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 	}}
 
 	// Stage 1: both directions at full budget, the heuristic's own
-	// choice first so that it wins a tie.
+	// choice first so that it wins a tie. A square runs the same swap
+	// sweep in either direction, so it is timed in one.
 	h := HeuristicCandidate(rows, cols, budget)
 	s.Try(h)
-	h.C2R = !h.C2R
-	s.Try(h)
+	if rows != cols {
+		h.C2R = !h.C2R
+		s.Try(h)
+	}
 
 	// Stage 2: worker ladder for the winning direction — powers of two
 	// up to the budget, plus the budget itself.
@@ -170,9 +175,10 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 }
 
 // blockWidths is the default stage-3 sweep for plan p of elemSize-byte
-// elements: the derived tile width W, given as 0 so that a decision for
-// it follows the derived rule, and its neighbours W/2 and 2W clamped to
-// [1, n], each dropped where it equals W.
+// elements: the derived tile width W (for a square plan the swap tile
+// side B), given as 0 so that a decision for it follows the derived
+// rule, and its neighbours W/2 and 2W clamped to [1, n], each dropped
+// where it equals W.
 func blockWidths(p *cr.Plan, elemSize int) []int {
 	w := core.TileWidth(p.M, p.N, elemSize, 0)
 	out := []int{0}

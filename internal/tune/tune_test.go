@@ -61,8 +61,9 @@ func TestTuneForBlockWidthSweep(t *testing.T) {
 		rows, cols, pick int
 		swept            []int
 	}{
-		{256, 256, 16, []int{0, 4, 16}},      // W 8: one line
-		{2896, 2896, 64, []int{0, 16, 64}},   // W 32: rows a page apart
+		{256, 256, 128, []int{0, 32, 128}},   // a square: swap tile B 64
+		{2896, 2896, 32, []int{0, 32, 128}},  // a square: swap tile B 64
+		{48, 48, 24, []int{0, 24}},           // a square: B clamped to n 48, 2B too
 		{3000, 2797, 16, []int{0, 16, 64}},   // R2C wins: plan 2797×3000, W 32
 		{4, 1 << 20, 0, []int{0, 256, 1024}}, // W 512: a 16 KiB tile
 		{4, 10, 10, []int{0, 4, 10}},         // W 8: 2W clamped to n
@@ -89,6 +90,39 @@ func TestTuneForBlockWidthSweep(t *testing.T) {
 			if !swept[bw] {
 				t.Errorf("%dx%d: swept %v, want %v", c.rows, c.cols, swept, c.swept)
 			}
+		}
+	}
+}
+
+// Stage 1 races both directions, except on a square, whose C2R and R2C
+// run the same swap sweep: every candidate a square times keeps the
+// heuristic's direction, and a rectangle times both.
+func TestTuneForSquareTimesOneDirection(t *testing.T) {
+	for _, c := range []struct {
+		rows, cols int
+		dirs       int
+	}{
+		{256, 256, 1},
+		{2896, 2896, 1},
+		{1, 1, 1},
+		{256, 192, 2},
+		{192, 256, 2},
+	} {
+		timed := map[bool]int{}
+		cfg := Config{MaxWorkers: 2, Cost: func(cd Candidate) float64 {
+			timed[cd.C2R]++
+			return 1
+		}}
+		d, err := TuneFor[uint64](c.rows, c.cols, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(timed) != c.dirs {
+			t.Errorf("%dx%d: timed %d directions (C2R %d, R2C %d candidates), want %d",
+				c.rows, c.cols, len(timed), timed[true], timed[false], c.dirs)
+		}
+		if h := HeuristicCandidate(c.rows, c.cols, 2); timed[h.C2R] == 0 || d.C2R != h.C2R {
+			t.Errorf("%dx%d: decision %+v, timed %v: want the heuristic direction C2R=%v", c.rows, c.cols, d, timed, h.C2R)
 		}
 	}
 }

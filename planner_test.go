@@ -82,7 +82,8 @@ func TestPlannerErrors(t *testing.T) {
 // on distinct buffers — the documented concurrency contract. Under
 // `go test -race` this checks that concurrent executions never share a
 // scratch state or a worker frame, across both the sequential and the
-// pool-dispatched parallel paths.
+// pool-dispatched parallel paths, on a rectangle and on a square, whose
+// swap sweep keeps a dispatch body in each execution state.
 func TestPlannerSharedConcurrently(t *testing.T) {
 	const goroutines = 8
 	const iters = 6
@@ -92,62 +93,67 @@ func TestPlannerSharedConcurrently(t *testing.T) {
 		{Workers: 4, Direction: inplace.ForceC2R},
 		{Workers: 3, BlockWidth: 3},
 	}
-	for ci, o := range configs {
-		o := o
-		t.Run(fmt.Sprintf("config%d", ci), func(t *testing.T) {
-			const rows, cols = 611, 16
-			pl, err := inplace.NewPlanner[uint64](rows, cols, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := make([]uint64, rows*cols)
-			for i := range base {
-				base[i] = uint64(i)*0x9e3779b97f4a7c15 + uint64(ci)
-			}
-			want := transposeRef(base, rows, cols)
-			back, err := inplace.NewPlanner[uint64](cols, rows, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var wg sync.WaitGroup
-			errs := make([]error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					data := append([]uint64(nil), base...)
-					for it := 0; it < iters; it++ {
-						if err := pl.Execute(data); err != nil {
-							errs[g] = err
-							return
-						}
-						for i := range data {
-							if data[i] != want[i] {
-								errs[g] = fmt.Errorf("goroutine %d iter %d: wrong at %d", g, it, i)
-								return
-							}
-						}
-						if err := back.Execute(data); err != nil {
-							errs[g] = err
-							return
-						}
-						for i := range data {
-							if data[i] != base[i] {
-								errs[g] = fmt.Errorf("goroutine %d iter %d: round trip wrong at %d", g, it, i)
-								return
-							}
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			for _, err := range errs {
+	for _, sh := range []struct {
+		prefix     string
+		rows, cols int
+	}{{"config", 611, 16}, {"square_config", 150, 150}} {
+		for ci, o := range configs {
+			o := o
+			t.Run(fmt.Sprintf("%s%d", sh.prefix, ci), func(t *testing.T) {
+				rows, cols := sh.rows, sh.cols
+				pl, err := inplace.NewPlanner[uint64](rows, cols, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-			}
-		})
+				base := make([]uint64, rows*cols)
+				for i := range base {
+					base[i] = uint64(i)*0x9e3779b97f4a7c15 + uint64(ci)
+				}
+				want := transposeRef(base, rows, cols)
+				back, err := inplace.NewPlanner[uint64](cols, rows, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				var wg sync.WaitGroup
+				errs := make([]error, goroutines)
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						data := append([]uint64(nil), base...)
+						for it := 0; it < iters; it++ {
+							if err := pl.Execute(data); err != nil {
+								errs[g] = err
+								return
+							}
+							for i := range data {
+								if data[i] != want[i] {
+									errs[g] = fmt.Errorf("goroutine %d iter %d: wrong at %d", g, it, i)
+									return
+								}
+							}
+							if err := back.Execute(data); err != nil {
+								errs[g] = err
+								return
+							}
+							for i := range data {
+								if data[i] != base[i] {
+									errs[g] = fmt.Errorf("goroutine %d iter %d: round trip wrong at %d", g, it, i)
+									return
+								}
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
