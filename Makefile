@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-smoke bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke clean
+.PHONY: ci vet lint lint-report lint-bench lint-race vuln build test test-procs race fuzz bench bench-smoke bench-gate bench-baseline tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke exp-smoke clean
 
 # ci is the full gate: static checks (vet plus the xposelint suite,
 # with its golden tests re-run under the race detector and a wall-clock
 # budget on the full-repo lint), build, tests (also at GOMAXPROCS 1, 2
 # and 4), the race detector (short mode keeps the race shapes small), a
 # capped autotuner run, an out-of-core round trip on a real temp file,
-# the daemon selftest, one round of the engine-pass and daemon
-# round-trip benchmarks, the benchmark regression gate against the
-# committed baseline, and a best-effort vulnerability scan.
-ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke bench-smoke bench-gate vuln
+# the daemon selftest, the paper's Figure 1 and 2 walkthroughs, one
+# round of the engine-pass and daemon round-trip benchmarks, the
+# benchmark regression gate against the committed baseline, and a
+# best-effort vulnerability scan.
+ci: vet lint lint-race lint-bench build test test-procs race tune-smoke ooc-smoke serve-smoke perm-smoke store-smoke exp-smoke bench-smoke bench-gate vuln
 
 vet:
 	$(GO) vet ./...
@@ -134,14 +135,14 @@ bench-baseline:
 # minutes — cheap enough for ci.
 tune-smoke:
 	mkdir -p results
-	$(GO) run ./cmd/xposetune -shapes 64x48,512x6,32x96 -perms 2x8x8x4:0,3,1,2 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
-	$(GO) run ./cmd/xposetune -list results/wisdom-smoke.json
+	$(GO) run ./cmd/xpose tune -shapes 64x48,512x6,32x96 -perms 2x8x8x4:0,3,1,2 -elem 8 -workers 1 -fast -o results/wisdom-smoke.json
+	$(GO) run ./cmd/xpose tune -list results/wisdom-smoke.json
 
 # ooc-smoke round-trips the out-of-core engine on a real temp file,
-# journaled and verified, under the race detector: the xposeooc selftest
-# plus the acceptance tests of the public TransposeFile surface.
+# journaled and verified, under the race detector: the `xpose ooc`
+# selftest plus the acceptance tests of the public TransposeFile surface.
 ooc-smoke:
-	$(GO) run ./cmd/xposeooc -selftest -budget 64k
+	$(GO) run ./cmd/xpose ooc -selftest -budget 64k
 	$(GO) test -race -run 'TestTransposeFile|TestResumeAfterKill' . ./internal/ooc
 
 # perm-smoke round-trips small raw files through xpose and requires
@@ -181,7 +182,17 @@ perm-smoke:
 # repeated scans must run >90% out of the block cache, and an ingest
 # killed mid-write must leave the dataset absent-or-fully-valid.
 store-smoke:
-	$(GO) run ./cmd/xposestore selftest
+	$(GO) run ./cmd/xpose store selftest
+
+# exp-smoke runs the walkthroughs of the paper's Figures 1 and 2 and
+# requires their three verdicts to read true: Figure 1's R2C yields the
+# paper's matrix and C2R restores the original, and Figure 2's staged
+# C2R matches an out-of-place transpose.
+exp-smoke:
+	mkdir -p results
+	$(GO) run ./cmd/benchorch exp -run fig1,fig2 -scale tiny -out '' > results/exp-smoke.txt
+	test "$$(grep -c ': true$$' results/exp-smoke.txt)" -eq 3
+	@echo "exp-smoke: Figure 1 and 2 walkthroughs match the paper"
 
 # serve-smoke boots the xposed daemon in-process and runs its
 # acceptance demo: 64 concurrent clients over TCP sharing plans, a

@@ -98,6 +98,18 @@ func TestExecuteZeroAllocSquare(t *testing.T) {
 	}
 }
 
+func TestExecuteZeroAllocTwoWorkers(t *testing.T) {
+	// On two workers a rectangle's row and column passes dispatch the
+	// state's stored bodies through the shared pool, in either
+	// direction: 250×257 is coprime (two sweeps), 512×384 has gcd 128
+	// (the pre-rotation too).
+	for _, sh := range [][2]int{{250, 257}, {512, 384}} {
+		for _, d := range []inplace.Direction{inplace.ForceC2R, inplace.ForceR2C} {
+			requireZeroAllocs(t, sh[0], sh[1], inplace.Options{Workers: 2, Direction: d})
+		}
+	}
+}
+
 func TestPermuteExecuteZeroAllocRank2(t *testing.T) {
 	// The rank-2 [1,0] permutation routes through the same planning path
 	// as Transpose: one single-slab pass on the warm 2D engine, so the

@@ -2,7 +2,7 @@ package inplace_test
 
 // One Go benchmark per table and figure of the paper's evaluation. These
 // give stable per-target numbers under `go test -bench`; the full
-// distributions (histograms, landscapes, CSVs) come from cmd/benchsuite,
+// distributions (histograms, landscapes, CSVs) come from `benchorch exp`,
 // which sweeps the randomized workloads.
 
 import (

@@ -1,5 +1,6 @@
-// Command benchorch is the benchmark orchestrator and perf-regression
-// gate: it enumerates named presets of the internal/bench micro matrix
+// Command benchorch is the benchmark orchestrator, the perf-regression
+// gate and the command that regenerates the paper's evaluation. Its run
+// mode enumerates named presets of the internal/bench micro matrix
 // (scale × shape family × workers × scratch budget), measures every case
 // with the autotuner's robust timing loop, and emits the versioned BENCH
 // JSON envelope (internal/benchfmt) plus a markdown report. Its compare
@@ -7,12 +8,29 @@
 // regressions and missing series hard-fail, throughput deltas beyond the
 // outlier-trimmed confidence bands fail or flag depending on -perf.
 //
+// Its exp mode runs registry experiments: every table and figure of "A
+// Decomposition for In-place Matrix Transposition" (PPoPP 2014) has one
+// that prints the paper's rows or series and writes a CSV for plotting
+// (fig1 and fig2 are the walkthroughs of the paper's Figures 1 and 2),
+// and further experiments measure this implementation, such as the
+// planreuse warm/cold distribution of reusing a Planner. The default
+// small scale shrinks the paper's matrix sizes to laptop-class
+// footprints while preserving every comparison; -scale paper uses the
+// published ranges (hundreds of MB per sample). -wisdom loads an
+// autotuner wisdom file (`xpose tune`) so experiments that plan with
+// default options use measured decisions; -tune makes the "tuned"
+// experiment calibrate in-process (and saves back to the -wisdom file,
+// if given).
+//
 // Usage:
 //
 //	benchorch run [-preset quick|small|medium|large] [-seed S]
 //	              [-run REGEXP] [-json FILE] [-md FILE] [-q]
 //	benchorch compare [-threshold 0.10] [-perf fail|warn] [-md FILE]
 //	                  old.json new.json
+//	benchorch exp [-run fig3,table1|all] [-scale tiny|small|paper]
+//	              [-workers N] [-seed S] [-out results/]
+//	              [-wisdom wisdom.json] [-tune]
 //	benchorch list
 //
 // The repo's `make bench-gate` target runs the quick preset and compares
@@ -31,9 +49,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
+	"time"
 
+	"inplace"
 	"inplace/internal/bench"
 	"inplace/internal/benchfmt"
 	"inplace/internal/stats"
@@ -55,6 +76,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRun(args[1:], stdout, stderr)
 	case "compare":
 		return runCompare(args[1:], stdout, stderr)
+	case "exp":
+		return runExp(args[1:], stdout, stderr)
 	case "list":
 		return runList(stdout)
 	case "-h", "-help", "--help", "help":
@@ -71,6 +94,7 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   benchorch run [-preset NAME] [-seed S] [-run REGEXP] [-json FILE] [-md FILE] [-q]
   benchorch compare [-threshold F] [-perf fail|warn] [-md FILE] old.json new.json
+  benchorch exp [-run ID,ID|all] [-scale tiny|small|paper] [-workers N] [-seed S] [-out DIR] [-wisdom FILE] [-tune]
   benchorch list
 `)
 }
@@ -212,6 +236,79 @@ func runCompare(args []string, stdout, stderr io.Writer) int {
 	}
 	if c.failed() {
 		return 1
+	}
+	return 0
+}
+
+// runExp runs registry experiments, printing each result's text and
+// writing its CSV under -out.
+func runExp(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchorch exp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	run := fs.String("run", "all", "comma-separated experiment ids ("+strings.Join(bench.IDs(), ",")+") or 'all'")
+	scale := fs.String("scale", "small", "workload scale: tiny, small or paper")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	seed := fs.Int64("seed", 2014, "workload RNG seed")
+	out := fs.String("out", "results", "directory for CSV output ('' = none)")
+	wisdom := fs.String("wisdom", "", "wisdom file to load before measuring (with -tune: save new decisions back)")
+	tune := fs.Bool("tune", false, "autotune the 'tuned' experiment's shapes in-process")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	sc, ok := bench.ParseScale(*scale)
+	if !ok {
+		fmt.Fprintf(stderr, "benchorch: unknown scale %q\n", *scale)
+		return 2
+	}
+	exps := bench.All()
+	if *run != "all" {
+		exps = nil
+		for _, id := range strings.Split(*run, ",") {
+			id = strings.TrimSpace(id)
+			e, ok := bench.Get(id)
+			if !ok {
+				fmt.Fprintf(stderr, "benchorch: unknown experiment %q\n", id)
+				return 2
+			}
+			exps = append(exps, e)
+		}
+	}
+	cfg := bench.Config{Scale: sc, Workers: *workers, Seed: *seed, Tune: *tune}
+
+	if *wisdom != "" {
+		if err := inplace.LoadWisdom(*wisdom); err != nil && !os.IsNotExist(err) {
+			fmt.Fprintf(stderr, "benchorch: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "loaded wisdom: %d decisions from %s\n\n", inplace.WisdomLen(), *wisdom)
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			fmt.Fprintf(stderr, "benchorch: %v\n", err)
+			return 1
+		}
+	}
+	for _, e := range exps {
+		start := time.Now()
+		for _, r := range e.Run(cfg) {
+			fmt.Fprintln(stdout, r.Text)
+			if r.CSV != "" && *out != "" {
+				path := filepath.Join(*out, r.Name+".csv")
+				if err := os.WriteFile(path, []byte(r.CSV), 0o644); err != nil {
+					fmt.Fprintf(stderr, "benchorch: %v\n", err)
+					return 1
+				}
+				fmt.Fprintf(stdout, "[wrote %s]\n\n", path)
+			}
+		}
+		fmt.Fprintf(stdout, "== %s done in %v (scale=%s) ==\n\n", e.ID, time.Since(start).Round(time.Millisecond), sc)
+	}
+	if *tune && *wisdom != "" {
+		if err := inplace.SaveWisdom(*wisdom); err != nil {
+			fmt.Fprintf(stderr, "benchorch: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "saved wisdom: %d decisions to %s\n", inplace.WisdomLen(), *wisdom)
 	}
 	return 0
 }

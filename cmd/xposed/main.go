@@ -58,7 +58,7 @@ func main() {
 	oocBudget := flag.String("ooc-budget", "64m", "resident scratch budget for spilled jobs")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "how long an unadmitted job queues before shedding")
 	maxQueue := flag.Int("max-queue", 256, "admission queue depth")
-	wisdom := flag.String("wisdom", "", "wisdom file to load at startup (see cmd/xposetune)")
+	wisdom := flag.String("wisdom", "", "wisdom file to load at startup (see xpose tune)")
 	selftest := flag.Bool("selftest", false, "run the in-process service selftest and exit")
 	flag.Parse()
 

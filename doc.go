@@ -50,11 +50,8 @@
 // transpose moves whole records, so the bytes move as words of that
 // width, in place when the buffer is aligned for them.
 //
-// The lower-level NewPlan/Do API remains for callers that only need the
-// untyped shape resolution:
-//
-//	p, _ := inplace.NewPlan(rows, cols, inplace.Options{})
-//	inplace.Do(p, data)
+// NewPlan resolves a shape's direction without an element type, for
+// callers that only need to inspect the plan; a Planner executes it.
 //
 // # Array of Structures ↔ Structure of Arrays
 //
@@ -91,7 +88,7 @@
 // The in-register SIMD formulation of §6.2, which lets a simulated SIMD
 // processor perform Array-of-Structures accesses at full memory
 // bandwidth, lives in internal/simd with its bandwidth model in
-// internal/memsim; cmd/benchsuite reproduces the paper's figures with it.
+// internal/memsim; `benchorch exp` reproduces the paper's figures with it.
 //
 // # Autotuning and wisdom
 //
@@ -132,7 +129,7 @@
 // changes. Tuning costs real time (tens of milliseconds per shape with
 // TuneConfig.Fast, a second or so at default budgets) — tune shapes
 // that will be transposed many times, or batch-tune offline with
-// cmd/xposetune and ship the file.
+// `xpose tune` and ship the file.
 //
 // # N-dimensional axis permutation
 //
@@ -190,7 +187,7 @@
 // NewOOCPlanner validates and resolves the schedule once for repeated
 // runs; TuneOOC measures schedule candidates on a temp file and records
 // the winner in the wisdom table, keyed by shape, element size and the
-// budget's binary magnitude. cmd/xposeooc wraps all of it for raw files.
+// budget's binary magnitude. `xpose ooc` wraps all of it for raw files.
 //
 // # Static analysis
 //

@@ -21,7 +21,13 @@ func ExampleTranspose() {
 }
 
 func ExampleNewPlan() {
+	// A plan resolves the pipeline a shape runs; a Planner of the same
+	// shape executes it.
 	p, err := inplace.NewPlan(4, 8, inplace.Options{})
+	if err != nil {
+		panic(err)
+	}
+	pl, err := inplace.NewPlanner[int](4, 8)
 	if err != nil {
 		panic(err)
 	}
@@ -29,13 +35,16 @@ func ExampleNewPlan() {
 	for i := range data {
 		data[i] = i
 	}
-	if err := inplace.Do(p, data); err != nil {
+	if err := pl.Execute(data); err != nil {
 		panic(err)
 	}
+	fmt.Println(p, pl.Plan().UsesC2R() == p.UsesC2R())
 	// Element (i, j) of the original is element (j, i) of the result:
 	// original (1, 5) = 13 is now at row 5, column 1 of the 8×4 result.
 	fmt.Println(data[5*4+1])
-	// Output: 13
+	// Output:
+	// inplace.Plan(4x8 C2R) true
+	// 13
 }
 
 func ExampleAOSToSOA() {
@@ -53,14 +62,14 @@ func ExampleAOSToSOA() {
 	// Output: [10 20 30 1 2 3]
 }
 
-func ExampleC2R() {
+func ExampleTransposeWith_forceC2R() {
 	// The paper's Figure 1 shape: C2R applied to a row-major 3×8 array
 	// produces the row-major 8×3 transpose in the same buffer.
 	data := make([]int, 3*8)
 	for i := range data {
 		data[i] = i
 	}
-	if err := inplace.C2R(data, 3, 8, inplace.Options{}); err != nil {
+	if err := inplace.TransposeWith(data, 3, 8, inplace.Options{Direction: inplace.ForceC2R}); err != nil {
 		panic(err)
 	}
 	fmt.Println(data[:6]) // first two rows of the 8×3 transpose

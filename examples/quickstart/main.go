@@ -28,22 +28,22 @@ func main() {
 	printMatrix(data, n, m)
 
 	// A realistic size: transpose a 1500×2300 float64 matrix in place.
-	// NewPlan amortizes the gcd/modular-inverse/reciprocal setup when the
-	// same shape is transposed repeatedly.
+	// A Planner amortizes the gcd/modular-inverse/reciprocal setup and the
+	// scratch when the same shape is transposed repeatedly.
 	rows, cols := 1500, 2300
 	//xpose:allow indexoverflow -- demo dimensions are small constants
 	big := make([]float64, rows*cols)
 	for i := range big {
 		big[i] = float64(i)
 	}
-	plan, err := inplace.NewPlan(rows, cols, inplace.Options{})
+	pl, err := inplace.NewPlanner[float64](rows, cols)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplan: %v\n", plan)
+	fmt.Printf("\nplan: %v\n", pl.Plan())
 
 	start := time.Now()
-	if err := inplace.Do(plan, big); err != nil {
+	if err := pl.Execute(big); err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)

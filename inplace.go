@@ -294,23 +294,6 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("inplace.Plan(%dx%d %s)", p.rows, p.cols, dir)
 }
 
-// Do transposes data according to the plan: data must hold rows*cols
-// elements; afterwards it holds the transposed array (cols×rows in the
-// original order convention).
-//
-//xpose:hotpath
-func Do[T any](p *Plan, data []T) error {
-	if len(data) != p.size {
-		return lengthErr(len(data), p.size)
-	}
-	if p.useC2R {
-		core.C2R(data, p.plan, p.opts)
-	} else {
-		core.R2C(data, p.plan, p.opts)
-	}
-	return nil
-}
-
 // Transpose transposes the row-major rows×cols array held in data, in
 // place, with default options: afterwards data holds the row-major
 // cols×rows transpose.
@@ -331,34 +314,4 @@ func TransposeWith[T any](data []T, rows, cols int, o Options) error {
 		return err
 	}
 	return pl.Execute(data)
-}
-
-// C2R applies the paper's C2R permutation to a row-major m×n array; the
-// buffer then holds the row-major n×m transpose. It is exposed directly
-// for callers who need the paper's primitive semantics (e.g. composing
-// with other permutations); most callers should use Transpose.
-func C2R[T any](data []T, m, n int, o Options) error {
-	size, err := checkShape(m, n)
-	if err != nil {
-		return err
-	}
-	if len(data) != size {
-		return lengthErr(len(data), size)
-	}
-	core.C2R(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, BlockW: o.BlockWidth})
-	return nil
-}
-
-// R2C applies the inverse permutation of C2R: a row-major n×m buffer
-// becomes the row-major m×n transpose.
-func R2C[T any](data []T, m, n int, o Options) error {
-	size, err := checkShape(m, n)
-	if err != nil {
-		return err
-	}
-	if len(data) != size {
-		return lengthErr(len(data), size)
-	}
-	core.R2C(data, cr.NewPlan(m, n), core.Opts{Workers: o.Workers, BlockW: o.BlockWidth})
-	return nil
 }

@@ -206,10 +206,17 @@ func TestPlanReuse(t *testing.T) {
 	if p.String() == "" {
 		t.Fatal("empty plan string")
 	}
+	pl, err := NewPlanner[int](9, 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Plan().UsesC2R() != p.UsesC2R() {
+		t.Fatalf("planner resolved %v, NewPlan %v", pl.Plan(), p)
+	}
 	for trial := 0; trial < 3; trial++ {
 		data := intSeq(9 * 14)
 		want := reference(data, 9, 14)
-		if err := Do(p, data); err != nil {
+		if err := pl.Execute(data); err != nil {
 			t.Fatal(err)
 		}
 		if !equal(data, want) {
@@ -228,36 +235,36 @@ func TestErrors(t *testing.T) {
 	if _, err := NewPlan(-1, 3, Options{}); err == nil {
 		t.Error("negative rows must fail")
 	}
-	p, _ := NewPlan(2, 3, Options{})
-	if err := Do(p, make([]int, 7)); err == nil {
-		t.Error("Do length mismatch must fail")
+	c2r, r2c := Options{Direction: ForceC2R}, Options{Direction: ForceR2C}
+	if err := TransposeWith(make([]int, 5), 2, 3, c2r); err == nil {
+		t.Error("ForceC2R length mismatch must fail")
 	}
-	if err := C2R(make([]int, 5), 2, 3, Options{}); err == nil {
-		t.Error("C2R length mismatch must fail")
+	if err := TransposeWith(make([]int, 6), -2, -3, c2r); err == nil {
+		t.Error("ForceC2R bad shape must fail")
 	}
-	if err := C2R(make([]int, 6), -2, -3, Options{}); err == nil {
-		t.Error("C2R bad shape must fail")
+	if err := TransposeWith(make([]int, 5), 3, 2, r2c); err == nil {
+		t.Error("ForceR2C length mismatch must fail")
 	}
-	if err := R2C(make([]int, 5), 2, 3, Options{}); err == nil {
-		t.Error("R2C length mismatch must fail")
-	}
-	if err := R2C(make([]int, 6), 0, 3, Options{}); err == nil {
-		t.Error("R2C bad shape must fail")
+	if err := TransposeWith(make([]int, 6), 3, 0, r2c); err == nil {
+		t.Error("ForceR2C bad shape must fail")
 	}
 }
 
+// TestC2RAndR2CPrimitives checks the paper's two permutations as the
+// forced directions run them: C2R with an m×n plan transposes a
+// row-major m×n array, and R2C with that plan, the n×m result back.
 func TestC2RAndR2CPrimitives(t *testing.T) {
 	for m := 1; m <= 14; m++ {
 		for n := 1; n <= 14; n++ {
 			data := intSeq(m * n)
 			want := reference(data, m, n)
-			if err := C2R(data, m, n, Options{}); err != nil {
+			if err := TransposeWith(data, m, n, Options{Direction: ForceC2R}); err != nil {
 				t.Fatal(err)
 			}
 			if !equal(data, want) {
 				t.Fatalf("C2R %dx%d wrong", m, n)
 			}
-			if err := R2C(data, m, n, Options{}); err != nil {
+			if err := TransposeWith(data, n, m, Options{Direction: ForceR2C}); err != nil {
 				t.Fatal(err)
 			}
 			if !equal(data, intSeq(m*n)) {

@@ -15,7 +15,7 @@ type Config struct {
 	Workers int // 0 = GOMAXPROCS
 	Seed    int64
 	// Tune makes the "tuned" experiment run the autotuner in-process
-	// (cmd/benchsuite -tune); without it the experiment relies on wisdom
+	// (`benchorch exp -tune`); without it the experiment relies on wisdom
 	// already loaded via -wisdom, if any.
 	Tune bool
 }

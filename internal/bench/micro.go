@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"inplace"
 	"inplace/internal/benchfmt"
@@ -15,10 +14,10 @@ import (
 // The micro suite is the machine-readable bench trajectory: a fixed set
 // of named micro-experiments whose ns/op, GB/s and allocs/op land in the
 // versioned BENCH envelope (internal/benchfmt). cmd/benchorch enumerates
-// the matrix per preset and `benchorch compare` gates regressions
-// against a committed baseline; cmd/benchsuite's -bench-json writes the
-// same envelope, so the repo-root BENCH_PR*.json files form a comparable
-// history instead of living only in scrollback.
+// the matrix per preset, `benchorch run -json` writes the envelope and
+// `benchorch compare` gates regressions against a committed baseline,
+// so the repo-root BENCH_PR*.json files form a comparable history
+// instead of living only in scrollback.
 
 // MicroCase is one named micro benchmark: an m×n matrix of elem-byte
 // elements transposed once per op (the throughput normalization), with
@@ -319,20 +318,4 @@ func allocsPerOp(body func(), runs int) (allocs, bytes int64) {
 	runtime.ReadMemStats(&after)
 	return int64(after.Mallocs-before.Mallocs) / int64(runs),
 		int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
-}
-
-// Micro runs the default micro matrix for cfg (the benchsuite
-// -bench-json path: single-worker plus the configured parallel budget,
-// quarter-file OOC budget) and returns the envelope report.
-func Micro(cfg Config) benchfmt.Report {
-	workers := []int{1}
-	if w := cfg.workers(); w > 1 {
-		workers = append(workers, w)
-	}
-	rep := benchfmt.New("micro-"+cfg.Scale.String(), 5, cfg.Seed)
-	opts := tune.MeasureOpts{Reps: 5, MinSample: time.Millisecond, MaxTotal: 200 * time.Millisecond}
-	for _, c := range MicroMatrix(cfg.Scale, workers, []int{4}) {
-		rep.Experiments = append(rep.Experiments, MeasureMicro(c, opts))
-	}
-	return rep
 }

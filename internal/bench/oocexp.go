@@ -50,7 +50,7 @@ func OOC(cfg Config) []Result {
 	rows, cols := oocShape(cfg.Scale)
 	fileBytes := int64(rows) * int64(cols) * elem
 
-	f, err := os.CreateTemp("", "benchsuite-ooc-*")
+	f, err := os.CreateTemp("", "bench-ooc-*")
 	if err != nil {
 		panic(err)
 	}

@@ -9,8 +9,8 @@ import (
 // self-describing descriptor from its init function — id, title, the
 // workload axes its series sweep, the unit of the measured values, the
 // Result names it emits and whether the output is fully deterministic —
-// so cmd/benchsuite and cmd/benchorch can enumerate, select and diff
-// experiments without hard-coding what each one produces.
+// so cmd/benchorch can enumerate, select, run and diff experiments
+// without hard-coding what each one produces.
 
 // Experiment describes one registered experiment.
 type Experiment struct {

@@ -1,7 +1,7 @@
 // Package bench is the measurement harness that regenerates the paper's
 // evaluation: seeded workload generators, wall-clock throughput
 // measurement (Equation 37), order statistics, and the text renderings
-// (histograms, heatmaps, tables, CSV series) used by cmd/benchsuite and
+// (histograms, heatmaps, tables, CSV series) used by `benchorch exp` and
 // the Go benchmarks in bench_test.go.
 package bench
 

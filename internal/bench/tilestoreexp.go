@@ -60,7 +60,7 @@ func Tilestore(cfg Config) []Result {
 	rows, chunkRows := tilestoreShape(cfg.Scale)
 	const passes = 8
 
-	scratch, err := os.MkdirTemp("", "benchsuite-tilestore-*")
+	scratch, err := os.MkdirTemp("", "bench-tilestore-*")
 	if err != nil {
 		panic(err)
 	}
@@ -193,7 +193,7 @@ func tilestoreMicroCase(d microDims, w int) MicroCase {
 		M:    d.storeRows, N: d.storeProj, ElemBytes: elem,
 		Prep: func() func() {
 			var err error
-			dir, err = os.MkdirTemp("", "benchsuite-tilestore-micro-*")
+			dir, err = os.MkdirTemp("", "bench-tilestore-micro-*")
 			if err != nil {
 				panic(err)
 			}

@@ -35,7 +35,7 @@ func tunedShapes(s Scale) [][2]int {
 // Tuned races the static heuristic against the autotuner's measured
 // decision, per shape: the wisdom-vs-heuristic comparison the paper's
 // per-shape performance landscapes (Figures 4–5) motivate. With
-// cfg.Tune set the experiment tunes in-process (cmd/benchsuite -tune);
+// cfg.Tune set the experiment tunes in-process (`benchorch exp -tune`);
 // otherwise it uses whatever wisdom the process has already loaded, and
 // shapes without wisdom simply report 1.0x.
 func Tuned(cfg Config) []Result {

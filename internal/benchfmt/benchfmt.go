@@ -1,8 +1,7 @@
 // Package benchfmt defines the versioned BENCH JSON envelope shared by
 // every benchmark producer and consumer in the repository: cmd/benchorch
-// writes it, `benchorch compare` diffs two of them, cmd/benchsuite's
-// -bench-json delegates to it, and the checked-in BENCH_PR*.json
-// trajectory files at the repo root are instances of it.
+// writes it, `benchorch compare` diffs two of them, and the checked-in
+// BENCH_PR*.json trajectory files at the repo root are instances of it.
 //
 // The schema extends the historical micro-report layout (go_version,
 // gomaxprocs, experiments[] with ns_per_op / gbps / allocs_per_op /

@@ -27,7 +27,7 @@ func benchC2R(b *testing.B, m, n int, run func(data []uint64, p *cr.Plan)) {
 
 // engineC2R runs the Engine on workers workers.
 func engineC2R(workers int) func(data []uint64, p *cr.Plan) {
-	return func(data []uint64, p *cr.Plan) { C2R(data, p, Opts{Workers: workers}) }
+	return func(data []uint64, p *cr.Plan) { c2r(data, p, Opts{Workers: workers}) }
 }
 
 // Gather-only vs scatter row shuffle (§4.2): the two closed-form
@@ -65,7 +65,7 @@ func BenchmarkAblationCacheAwareColumnOps(b *testing.B) {
 func BenchmarkAblationSkinny(b *testing.B) {
 	m, n := 100_000, 8
 	b.Run("heuristic-r2c", func(b *testing.B) {
-		benchC2R(b, n, m, func(data []uint64, p *cr.Plan) { R2C(data, p, Opts{Workers: 1}) })
+		benchC2R(b, n, m, func(data []uint64, p *cr.Plan) { r2c(data, p, Opts{Workers: 1}) })
 	})
 	b.Run("long-columns-c2r", func(b *testing.B) {
 		benchC2R(b, m, n, engineC2R(1))
@@ -123,7 +123,7 @@ func BenchmarkAblationBlockW(b *testing.B) {
 			data := make([]uint64, m*n)
 			b.SetBytes(int64(2 * m * n * 8))
 			for i := 0; i < b.N; i++ {
-				C2R(data, plan, Opts{BlockW: bw, Workers: 1})
+				c2r(data, plan, Opts{BlockW: bw, Workers: 1})
 			}
 		})
 	}

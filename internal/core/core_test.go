@@ -11,6 +11,11 @@ import (
 	"inplace/internal/parallel"
 )
 
+// c2r and r2c transpose data through a one-shot engine over plan.
+func c2r[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](NewSchedule(plan, o)).C2R(data) }
+
+func r2c[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](NewSchedule(plan, o)).R2C(data) }
+
 func seqSlice(n int) []int {
 	x := make([]int, n)
 	for i := range x {
@@ -96,7 +101,7 @@ type form struct {
 // gathers through d'⁻¹ (the kernels the ablations time); and the Engine
 // with the closed-form row kernel that plans past MaxInt32 columns run.
 var c2rForms = []form{
-	{"cache-aware", func(data []int, p *cr.Plan, workers int) { C2R(data, p, Opts{Workers: workers}) }},
+	{"cache-aware", func(data []int, p *cr.Plan, workers int) { c2r(data, p, Opts{Workers: workers}) }},
 	{"scatter", func(data []int, p *cr.Plan, _ int) { algorithm1C2R(data, p) }},
 	{"gather", func(data []int, p *cr.Plan, _ int) { gatherOnlyC2R(data, p) }},
 	{"closed-form", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).C2R(data) }},
@@ -106,7 +111,7 @@ var c2rForms = []form{
 // Engine with the row kernel its shape selects, and with the closed-form
 // row kernel, the gather through d'.
 var r2cForms = []form{
-	{"cache-aware", func(data []int, p *cr.Plan, workers int) { R2C(data, p, Opts{Workers: workers}) }},
+	{"cache-aware", func(data []int, p *cr.Plan, workers int) { r2c(data, p, Opts{Workers: workers}) }},
 	{"gather", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).R2C(data) }},
 }
 
@@ -235,11 +240,11 @@ func TestCacheAwareBlockWidths(t *testing.T) {
 			data := seqSlice(m * n)
 			want := make([]int, m*n)
 			OutOfPlace(want, data, m, n)
-			C2R(data, plan, Opts{BlockW: bw, Workers: 3})
+			c2r(data, plan, Opts{BlockW: bw, Workers: 3})
 			if !equalSlices(data, want) {
 				t.Fatalf("m=%d n=%d bw=%d: cache-aware C2R wrong", m, n, bw)
 			}
-			R2C(data, plan, Opts{BlockW: bw, Workers: 3})
+			r2c(data, plan, Opts{BlockW: bw, Workers: 3})
 			if !equalSlices(data, seqSlice(m*n)) {
 				t.Fatalf("m=%d n=%d bw=%d: cache-aware R2C wrong", m, n, bw)
 			}
@@ -649,11 +654,11 @@ func TestDegenerateShapes(t *testing.T) {
 		data := seqSlice(m * n)
 		want := make([]int, m*n)
 		OutOfPlace(want, data, m, n)
-		C2R(data, plan, Opts{})
+		c2r(data, plan, Opts{})
 		if !equalSlices(data, want) {
 			t.Fatalf("%dx%d: degenerate C2R wrong: %v", m, n, data)
 		}
-		R2C(data, plan, Opts{})
+		r2c(data, plan, Opts{})
 		if !equalSlices(data, seqSlice(m*n)) {
 			t.Fatalf("%dx%d: degenerate R2C wrong: %v", m, n, data)
 		}
@@ -663,8 +668,8 @@ func TestDegenerateShapes(t *testing.T) {
 func TestEngineLengthPanics(t *testing.T) {
 	plan := cr.NewPlan(3, 4)
 	for _, f := range []func(){
-		func() { C2R(make([]int, 11), plan, Opts{}) },
-		func() { R2C(make([]int, 13), plan, Opts{}) },
+		func() { c2r(make([]int, 11), plan, Opts{}) },
+		func() { r2c(make([]int, 13), plan, Opts{}) },
 	} {
 		func() {
 			defer func() {
@@ -688,7 +693,7 @@ func TestGenericElementTypes(t *testing.T) {
 	}
 	wantF := make([]float64, m*n)
 	OutOfPlace(wantF, f, m, n)
-	C2R(f, plan, Opts{Workers: 1})
+	c2r(f, plan, Opts{Workers: 1})
 	for i := range f {
 		if f[i] != wantF[i] {
 			t.Fatalf("float64 transpose wrong at %d", i)
@@ -702,7 +707,7 @@ func TestGenericElementTypes(t *testing.T) {
 	}
 	wantP := make([]pair, m*n)
 	OutOfPlace(wantP, ps, m, n)
-	C2R(ps, plan, Opts{Workers: 2})
+	c2r(ps, plan, Opts{Workers: 2})
 	for i := range ps {
 		if ps[i] != wantP[i] {
 			t.Fatalf("struct transpose wrong at %d", i)

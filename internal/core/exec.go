@@ -73,7 +73,8 @@ func badLenMsg(op string, n int, p *cr.Plan) string {
 }
 
 // C2R performs the in-place C2R transposition of the flat row-major
-// m×n array described by the schedule's plan (see the package-level C2R).
+// m×n array described by the schedule's plan: afterwards data holds the
+// row-major n×m transpose (Theorem 1). len(data) must equal m·n.
 //
 //xpose:hotpath
 func (e *Engine[T]) C2R(data []T) {
@@ -85,7 +86,9 @@ func (e *Engine[T]) C2R(data []T) {
 	e.c2r(data, st)
 }
 
-// R2C performs the in-place R2C transposition, the exact inverse of C2R.
+// R2C performs the in-place R2C transposition, the exact inverse of C2R:
+// if data holds a row-major n×m array, R2C with an m×n plan leaves data
+// holding the row-major m×n transpose.
 //
 //xpose:hotpath
 func (e *Engine[T]) R2C(data []T) {
@@ -135,24 +138,18 @@ func (e *Engine[T]) r2c(data []T, st *execState[T]) {
 
 // --- Pass drivers ---
 //
-// Each driver runs a range kernel over a precomputed chunk partition.
-// The single-chunk case calls the kernel directly: no closure is built,
-// which together with the arena-backed frames makes sequential
-// executions allocation-free in steady state. Multi-chunk dispatch goes
-// through the schedule (persistent pool or spawned goroutines); the
-// chunk index doubles as the scratch frame index.
+// Each pass runs over a precomputed chunk partition through run: one
+// chunk directly, several on the schedule's persistent pool or on
+// spawned goroutines through the state's one body, built on its first
+// multi-chunk pass, which reads the buffer and the pass from the state.
+// So no warm execution builds a closure, which together with the
+// arena-backed frames makes executions allocation-free in steady state.
+// The chunk index doubles as the scratch frame index.
 
 // shufflePass runs the row shuffle, C2R or R2C, over all M rows.
 func (e *Engine[T]) shufflePass(data []T, st *execState[T], c2r bool) {
-	s := e.s
-	bounds := s.boundsM
-	if len(bounds) == 2 {
-		e.shuffleRows(data, &st.frames[0], c2r, bounds[0], bounds[1])
-		return
-	}
-	s.dispatch(bounds, func(w, lo, hi int) {
-		e.shuffleRows(data, &st.frames[w], c2r, lo, hi)
-	})
+	st.c2r = c2r
+	e.run(data, st, passShuffle, e.s.boundsM)
 }
 
 // shuffleRows runs the row shuffle of rows [lo, hi) with the kernel the
@@ -190,41 +187,47 @@ func (e *Engine[T]) shuffleRows(data []T, fr *frame[T], c2r bool, lo, hi int) {
 // takes m·tileW elements of its worker's buffer, which the row passes
 // grow to n elements only on the workers that share out the rows.
 func (e *Engine[T]) tilePass(data []T, st *execState[T], mode tileMode) {
-	s := e.s
-	if s.Plan.M <= 1 {
-		return
+	if e.s.Plan.M > 1 {
+		st.mode = mode
+		e.run(data, st, passTile, e.boundsTiles)
 	}
-	bounds := e.boundsTiles
-	if len(bounds) == 2 {
-		fr := &st.frames[0]
-		tileColumnsRange(data, s.Plan, mode, e.tileW, fr.elems(e.tileLen), fr.amounts(e.tileW), bounds[0], bounds[1])
-		return
-	}
-	s.dispatch(bounds, func(w, lo, hi int) {
-		fr := &st.frames[w]
-		tileColumnsRange(data, s.Plan, mode, e.tileW, fr.elems(e.tileLen), fr.amounts(e.tileW), lo, hi)
-	})
 }
 
 // swapPass runs the swap sweep of a square plan over every band pair.
-// Its multi-worker dispatch reuses the state's swap body, built on the
-// state's first such sweep, which reads the buffer from st.data: a warm
-// sweep builds no closure.
 func (e *Engine[T]) swapPass(data []T, st *execState[T]) {
-	n, b, tileLen := e.s.Plan.N, e.tileW, e.tileLen
-	bounds := e.boundsTiles
+	e.run(data, st, passSwap, e.boundsTiles)
+}
+
+// run runs pass over the chunk partition bounds of data.
+func (e *Engine[T]) run(data []T, st *execState[T], pass passKind, bounds []int) {
+	st.data, st.pass = data, pass
 	if len(bounds) == 2 {
-		swapBands(data, n, b, st.frames[0].elems(tileLen), bounds[0], bounds[1])
-		return
-	}
-	if st.swap == nil {
-		st.swap = func(w, lo, hi int) {
-			swapBands(st.data, n, b, st.frames[w].elems(tileLen), lo, hi)
+		e.chunk(st, 0, bounds[0], bounds[1])
+	} else {
+		if st.body == nil {
+			st.body = func(w, lo, hi int) { e.chunk(st, w, lo, hi) }
+		}
+		if e.s.pool != nil {
+			e.s.pool.ForBounds(bounds, st.body)
+		} else {
+			parallel.ForBounds(bounds, st.body)
 		}
 	}
-	st.data = data
-	e.s.dispatch(bounds, st.swap)
 	st.data = nil
+}
+
+// chunk runs chunk [lo, hi) of the state's pass with the scratch of
+// worker w's frame.
+func (e *Engine[T]) chunk(st *execState[T], w, lo, hi int) {
+	fr := &st.frames[w]
+	switch st.pass {
+	case passShuffle:
+		e.shuffleRows(st.data, fr, st.c2r, lo, hi)
+	case passTile:
+		tileColumnsRange(st.data, e.s.Plan, st.mode, e.tileW, fr.elems(e.tileLen), fr.amounts(e.tileW), lo, hi)
+	default:
+		swapBands(st.data, e.s.Plan.N, e.tileW, fr.elems(e.tileLen), lo, hi)
+	}
 }
 
 // --- Execution state ---
@@ -236,11 +239,25 @@ func (e *Engine[T]) swapPass(data []T, st *execState[T]) {
 type execState[T any] struct {
 	frames []frame[T]
 
-	// swap is the square sweep's multi-worker body and data the buffer
-	// it transposes, set for the duration of one sweep (see swapPass).
-	swap func(worker, lo, hi int)
+	// body is the multi-worker body of every pass (see run). It reads
+	// the pass to run from the fields below, which hold the buffer, the
+	// pass kind, the row shuffle's direction and the tiled pass's mode
+	// for the duration of one pass.
+	body func(worker, lo, hi int)
 	data []T
+	pass passKind
+	c2r  bool
+	mode tileMode
 }
+
+// passKind names an engine pass for the state's body.
+type passKind int
+
+const (
+	passShuffle passKind = iota // row shuffle (rowshuffle.go)
+	passTile                    // tiled column pass (tile.go)
+	passSwap                    // a square's swap sweep (swap.go)
+)
 
 func newExecState[T any](s *Schedule) *execState[T] {
 	return &execState[T]{frames: make([]frame[T], s.workers)}

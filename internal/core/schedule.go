@@ -36,15 +36,3 @@ func NewSchedule(plan *cr.Plan, o Opts) *Schedule {
 		boundsM: parallel.Bounds(plan.M, workers, 1),
 	}
 }
-
-// dispatch runs body over the chunks of bounds: on the persistent pool
-// when the schedule has one, otherwise on freshly spawned goroutines.
-// Callers handle the single-chunk case themselves (calling the kernel
-// directly keeps the sequential path free of closure allocations).
-func (s *Schedule) dispatch(bounds []int, body func(worker, lo, hi int)) {
-	if s.pool != nil {
-		s.pool.ForBounds(bounds, body)
-		return
-	}
-	parallel.ForBounds(bounds, body)
-}

@@ -365,7 +365,7 @@ func (d *Dataset) checkFrame(fr ooc.Frame, chunk, col, payload int) error {
 
 // Verify re-reads every segment of the dataset and checks its frame
 // and payload checksum, without populating the cache: the integrity
-// scan behind xposestore verify and the selftest's kill/recover check.
+// scan behind `xpose store verify` and the selftest's kill/recover check.
 func (d *Dataset) Verify() error {
 	if fi, err := d.f.Stat(); err != nil {
 		return err

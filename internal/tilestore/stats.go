@@ -11,7 +11,7 @@ import (
 // stats.Counter owned by the Dataset (the precise per-handle surface
 // that Stats() snapshots and the selftest asserts on) and a named
 // counter on the shared registry under store_<label>_*, so exporters —
-// the xposed /stats endpoint, cmd/xposestore stats — enumerate every
+// the xposed /stats endpoint, `xpose store stats` — enumerate every
 // dataset's cache and I/O traffic alongside the planner-cache and
 // out-of-core metrics without knowing who owns them. Two datasets
 // opened with the same label share the registry counters (registry
@@ -95,7 +95,7 @@ type Stats struct {
 	// BytesRead/ReadOps and BytesWritten/WriteOps count data-file
 	// backend traffic. A projection of k of n columns reads ~k/n of a
 	// full scan's bytes — the coalesced-column payoff, asserted by the
-	// xposestore selftest.
+	// `xpose store` selftest.
 	BytesRead    uint64
 	ReadOps      uint64
 	BytesWritten uint64

@@ -205,7 +205,7 @@ func (t *Table) Keys() []Key {
 }
 
 // Merge copies every entry of other into t, overwriting collisions:
-// the incoming table is assumed fresher (cmd/xposetune merges new
+// the incoming table is assumed fresher (`xpose tune -merge` folds new
 // measurements over an existing file this way).
 func (t *Table) Merge(other *Table) { maps.Copy(t.m, other.m) }
 

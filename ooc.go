@@ -274,7 +274,7 @@ func TuneOOC(rows, cols, elemSize int, budget int64, cfgs ...TuneConfig) (OOCTun
 		budget = DefaultOOCBudget
 	}
 
-	f, err := os.CreateTemp("", "xposeooc-tune-*")
+	f, err := os.CreateTemp("", "inplace-ooc-tune-*")
 	if err != nil {
 		return OOCTuneResult{}, err
 	}

@@ -32,11 +32,11 @@ func TestTransposeOverflow(t *testing.T) {
 	if err := Transpose(data, big, 2); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("Transpose err = %v, want ErrOverflow", err)
 	}
-	if err := C2R(data, big, 2, Options{}); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("C2R err = %v, want ErrOverflow", err)
+	if err := TransposeWith(data, big, 2, Options{Direction: ForceC2R}); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("ForceC2R err = %v, want ErrOverflow", err)
 	}
-	if err := R2C(data, 2, big, Options{}); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("R2C err = %v, want ErrOverflow", err)
+	if err := TransposeWith(data, big, 2, Options{Direction: ForceR2C}); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("ForceR2C err = %v, want ErrOverflow", err)
 	}
 	if err := AOSToSOA(data, big, 2); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("AOSToSOA err = %v, want ErrOverflow", err)

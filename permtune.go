@@ -97,7 +97,7 @@ func TunePermute[T any](dims, perm []int, cfgs ...TuneConfig) (PermuteTuneResult
 }
 
 // TunePermuteElem is TunePermute for callers that know the element width
-// in bytes but not the type — raw-buffer CLIs like cmd/xposetune.
+// in bytes but not the type — raw-buffer CLIs like `xpose tune`.
 // Supported widths are 1, 2, 4 and 8.
 func TunePermuteElem(dims, perm []int, elemSize int, cfgs ...TuneConfig) (PermuteTuneResult, error) {
 	w, err := wordsOf(elemSize)

@@ -112,7 +112,7 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	// floor prices each step's 2D plan as it resolves, 2D wisdom
 	// included.
 	fits := func(strategy string, workers int) (bool, error) {
-		if o.MaxScratchBytes <= 0 || elemSize <= 0 {
+		if o.MaxScratchBytes <= 0 {
 			return true, nil
 		}
 		steps := factored(strategy)
@@ -127,7 +127,7 @@ func planPermute(dims, perm []int, o Options, elemSize int, forced string) (*Per
 	}
 
 	strategy := forced
-	if strategy == "" && elemSize > 0 {
+	if strategy == "" {
 		k := wisdomKey(tune.Key{Kind: tune.KindPermute, Dims: pp.canonDims, Perm: pp.canonPerm, ElemSize: elemSize}, int64(o.Workers))
 		d, ok, err := lookupWisdom(o.Tuning, k)
 		if err != nil {
@@ -218,14 +218,6 @@ func planSteps(steps []tensor.Step, o Options, workers, elemSize int) ([]permSte
 		pss[i] = permStep{slabs: st.Slabs, plan: p2}
 	}
 	return pss, nil
-}
-
-// NewPermutePlan validates and factors a permutation plan without
-// binding an element type (so, like NewPlan, it never consults wisdom,
-// and Options.MaxScratchBytes — a byte budget that needs the element
-// size — is ignored; use NewPermutePlanner for both).
-func NewPermutePlan(dims, perm []int, o Options) (*PermutePlan, error) {
-	return planPermute(dims, perm, o, 0, "")
 }
 
 // Dims returns a copy of the plan's dimension list.

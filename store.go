@@ -276,7 +276,7 @@ func TuneStore(rows, fields, elemSize int, cfgs ...TuneConfig) (StoreTuneResult,
 		return StoreTuneResult{}, overflowErr(rows, fields)
 	}
 
-	scratch, err := os.MkdirTemp("", "xposestore-tune-*")
+	scratch, err := os.MkdirTemp("", "inplace-store-tune-*")
 	if err != nil {
 		return StoreTuneResult{}, err
 	}

@@ -12,10 +12,10 @@ import (
 	"inplace/internal/tune"
 )
 
-// benchsuiteShapes mirrors the tiny-scale benchsuite workload: the
+// tinyExpShapes mirrors the tiny-scale experiment workload: the
 // Figure 4/5 landscape grid crossed with itself, plus skinny AoS-like
 // shapes from the Figure 7 workload and the tuned experiment's set.
-func benchsuiteShapes() [][2]int {
+func tinyExpShapes() [][2]int {
 	grid := []int{16, 32, 64} // bench.LandscapeGrid(TinyScale)
 	var shapes [][2]int
 	for _, m := range grid {
@@ -50,7 +50,7 @@ func medianExecNs(t *testing.T, pl *inplace.Planner[uint64], data []uint64) floa
 }
 
 // TestTunedNeverMeasurablySlower is the tuner's contract: for every
-// shape in the (tiny-scale) benchsuite workload, a planner resolved
+// shape in the (tiny-scale) experiment workload, a planner resolved
 // through warm wisdom must not select a variant measurably slower than
 // the static heuristic's choice. "Measurably" leaves generous room for
 // scheduling noise — the tuner seeds its search with the heuristic
@@ -64,7 +64,7 @@ func TestTunedNeverMeasurablySlower(t *testing.T) {
 	defer inplace.ClearWisdom()
 	inplace.ClearWisdom()
 
-	for _, sh := range benchsuiteShapes() {
+	for _, sh := range tinyExpShapes() {
 		m, n := sh[0], sh[1]
 		if _, err := inplace.Tune[uint64](m, n, inplace.TuneConfig{
 			Workers: 1, Reps: 3, MaxCandidateTime: 10 * time.Millisecond,
@@ -94,7 +94,7 @@ func TestTunedNeverMeasurablySlower(t *testing.T) {
 	}
 }
 
-// TestWisdomFileChangesPlannerSelection is the cmd/xposetune
+// TestWisdomFileChangesPlannerSelection is the `xpose tune`
 // acceptance path: produce a wisdom file from a tuning run whose
 // measurement disagrees with the static heuristic, prove the file
 // round-trips, and prove that loading it changes the planner's direction
@@ -126,7 +126,7 @@ func TestWisdomFileChangesPlannerSelection(t *testing.T) {
 		t.Fatalf("cost injection failed: decision %+v", d)
 	}
 
-	// Write the wisdom file the way xposetune does and check it
+	// Write the wisdom file the way `xpose tune` does and check it
 	// round-trips exactly.
 	tbl := tune.NewTable()
 	tbl.Store(tune.Key{Kind: tune.KindTranspose, Rows: rows, Cols: cols, ElemSize: 8, Budget: 1}, d)

@@ -189,7 +189,7 @@ func Tune[T any](rows, cols int, cfgs ...TuneConfig) (TuneResult, error) {
 }
 
 // TuneElem is Tune for callers that know the element width in bytes but
-// not the type — raw-buffer CLIs like cmd/xpose and cmd/xposetune.
+// not the type — raw-buffer CLIs like cmd/xpose and `xpose tune`.
 // Supported widths are 1, 2, 4 and 8; wisdom recorded for a width is
 // consulted by any element type of that size.
 func TuneElem(rows, cols, elemSize int, cfgs ...TuneConfig) (TuneResult, error) {
