@@ -104,9 +104,9 @@ bench:
 	$(GO) test -bench . -benchmem .
 
 # bench-smoke runs one round of each engine-pass and daemon round-trip
-# benchmark. They reach into unexported engine methods and the test
-# server, which `go test` only compiles; one round proves they still
-# run.
+# benchmark. They walk the engine's unexported pass list and drive the
+# test server, which `go test` only compiles; one round proves they
+# still run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EnginePasses|TinyJobRoundTrip' -benchtime 1x ./internal/core ./internal/server
 

@@ -22,9 +22,9 @@
 //
 // Repeated transposes of one shape should reuse a Planner, which
 // precomputes everything shape-dependent — the decomposition constants
-// (gcd cofactors, modular inverses, fixed-point reciprocals), the pass
-// schedule (direction heuristic, chunk partitions, rotation closures),
-// the cycle decomposition of the shared row permutation, and a recycled
+// (gcd cofactors, modular inverses, fixed-point reciprocals), the list
+// of passes in the direction the heuristic picks, each with its chunk
+// partition, the tile geometry, and a recycled
 // scratch arena — so that steady-state Execute calls perform no heap
 // allocation at all and multi-worker plans run on a persistent worker
 // pool instead of spawning goroutines per pass:
@@ -145,7 +145,7 @@
 // that stay adjacent in order collapse into one — and then factors the
 // canonical permutation into at most k-1 suffix-group exchanges, each
 // of which is a batched in-place 2D transpose over contiguous slabs
-// executed by the same Schedule/Engine stack as Transpose. A cost model
+// executed by the same engine as Transpose. A cost model
 // chooses between the greedy and inverse factorizations; when
 // Options.MaxScratchBytes caps auxiliary space below both
 // factorizations' floors, a strength-reduced cycle-leader walk with

@@ -141,9 +141,9 @@ func agePools() {
 }
 
 // Slab allocates one backing array of count*size elements and returns it
-// split into count equal buffers. Band sweeps and per-worker scratch use
-// a slab so that an execution state costs one allocation per buffer kind
-// instead of one per worker or chunk.
+// split into count equal buffers, so that a set of same-size buffers
+// (the out-of-core engine's segment ring) costs one allocation instead
+// of one per buffer.
 func Slab[T any](count, size int) [][]T {
 	if count <= 0 || size <= 0 {
 		return nil

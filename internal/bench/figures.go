@@ -42,9 +42,9 @@ func Fig1(Config) []Result {
 	b.WriteString("Fig1: C2R and R2C transpositions, m=3, n=8\n\n")
 	b.WriteString("Rows-to-Columns source (values in row-major reading order):\n")
 	b.WriteString(layout.NewMatrix(rowMajor, m, n, layout.RowMajor).String())
-	eng := core.NewEngine[int](core.NewSchedule(cr.NewPlan(m, n), core.Opts{}))
+	plan := cr.NewPlan(m, n)
 	after := append([]int(nil), rowMajor...)
-	eng.R2C(after)
+	core.NewEngine[int](plan, core.Opts{}, false).Run(after)
 	// Viewed as 3×8 again (the paper redraws it with the same shape):
 	b.WriteString("\nAfter R2C (values now in column reading order):\n")
 	b.WriteString(layout.NewMatrix(after, m, n, layout.RowMajor).String())
@@ -56,7 +56,7 @@ func Fig1(Config) []Result {
 	}
 	fmt.Fprintf(&b, "\nmatches the paper's right-hand matrix: %v\n", matches)
 	back := append([]int(nil), after...)
-	eng.C2R(back)
+	core.NewEngine[int](plan, core.Opts{}, true).Run(back)
 	restored := true
 	for i := range back {
 		if back[i] != rowMajor[i] {

@@ -203,10 +203,11 @@ func PassRotatePre[T any](data []T, p *cr.Plan, blockW, workers int) {
 }
 
 // PassRowShuffle runs the C2R row shuffle pass in isolation, with the
-// kernel the Engine runs for p's shape (rowshuffle.go).
+// kernel the Engine runs for p's shape (rowshuffle.go); on a square,
+// whose engine runs the swap sweep instead, the b = 1 row rotation.
 func PassRowShuffle[T any](data []T, p *cr.Plan, workers int) {
-	e := NewEngine[T](NewSchedule(p, Opts{Workers: workers}))
-	e.shufflePass(data, newExecState[T](e.s), true)
+	e := NewEngine[T](p, Opts{Workers: workers}, true)
+	e.run(data, newExecState(e), &pass{kind: passShuffle, c2r: true, bounds: parallel.Bounds(p.M, e.workers)})
 }
 
 // PassRotateP runs the column-shuffle rotation component in isolation.

@@ -8,13 +8,12 @@ import (
 	"unsafe"
 
 	"inplace/internal/cr"
-	"inplace/internal/parallel"
 )
 
 // c2r and r2c transpose data through a one-shot engine over plan.
-func c2r[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](NewSchedule(plan, o)).C2R(data) }
+func c2r[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](plan, o, true).Run(data) }
 
-func r2c[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](NewSchedule(plan, o)).R2C(data) }
+func r2c[T any](data []T, plan *cr.Plan, o Opts) { NewEngine[T](plan, o, false).Run(data) }
 
 func seqSlice(n int) []int {
 	x := make([]int, n)
@@ -104,7 +103,7 @@ var c2rForms = []form{
 	{"cache-aware", func(data []int, p *cr.Plan, workers int) { c2r(data, p, Opts{Workers: workers}) }},
 	{"scatter", func(data []int, p *cr.Plan, _ int) { algorithm1C2R(data, p) }},
 	{"gather", func(data []int, p *cr.Plan, _ int) { gatherOnlyC2R(data, p) }},
-	{"closed-form", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).C2R(data) }},
+	{"closed-form", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers, true).Run(data) }},
 }
 
 // r2cForms are the ways the package runs an R2C transposition: the
@@ -112,7 +111,7 @@ var c2rForms = []form{
 // row kernel, the gather through d'.
 var r2cForms = []form{
 	{"cache-aware", func(data []int, p *cr.Plan, workers int) { r2c(data, p, Opts{Workers: workers}) }},
-	{"gather", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers).R2C(data) }},
+	{"gather", func(data []int, p *cr.Plan, workers int) { closedFormEngine(p, workers, false).Run(data) }},
 }
 
 // gatherOnlyC2R is Algorithm 1 with the row shuffle gathered through
@@ -126,10 +125,10 @@ func gatherOnlyC2R(data []int, p *cr.Plan) {
 	columnShuffleGatherRange(data, p, tmp, 0, p.N)
 }
 
-// closedFormEngine builds an Engine for p that runs the closed-form row
-// kernels whatever p's shape.
-func closedFormEngine(p *cr.Plan, workers int) *Engine[int] {
-	eng := NewEngine[int](NewSchedule(p, Opts{Workers: workers}))
+// closedFormEngine builds an Engine for p in the given direction that
+// runs the closed-form row kernels whatever p's shape.
+func closedFormEngine(p *cr.Plan, workers int, c2r bool) *Engine[int] {
+	eng := NewEngine[int](p, Opts{Workers: workers}, c2r)
 	eng.row = rowClosedForm
 	return eng
 }
@@ -204,24 +203,25 @@ func TestParallelMatchesSequential(t *testing.T) {
 			m := 1 + rng.Intn(80)
 			n := 1 + rng.Intn(80)
 			plan := cr.NewPlan(m, n)
-			seq := NewEngine[int](NewSchedule(plan, Opts{Workers: 1}))
-			parC2R := NewEngine[int](NewSchedule(plan, Opts{Workers: 7}))
-			parR2C := NewEngine[int](NewSchedule(plan, Opts{Workers: 5}))
+			seqC2R := NewEngine[int](plan, Opts{Workers: 1}, true)
+			seqR2C := NewEngine[int](plan, Opts{Workers: 1}, false)
+			parC2R := NewEngine[int](plan, Opts{Workers: 7}, true)
+			parR2C := NewEngine[int](plan, Opts{Workers: 5}, false)
 			if closed {
-				seq.row, parC2R.row, parR2C.row = rowClosedForm, rowClosedForm, rowClosedForm
+				seqC2R.row, seqR2C.row, parC2R.row, parR2C.row = rowClosedForm, rowClosedForm, rowClosedForm, rowClosedForm
 			}
 			seqData := make([]int, m*n)
 			for i := range seqData {
 				seqData[i] = rng.Int()
 			}
 			parData := append([]int(nil), seqData...)
-			seq.C2R(seqData)
-			parC2R.C2R(parData)
+			seqC2R.Run(seqData)
+			parC2R.Run(parData)
 			if !equalSlices(seqData, parData) {
 				t.Fatalf("m=%d n=%d closed-form %v: parallel C2R differs from sequential", m, n, closed)
 			}
-			seq.R2C(seqData)
-			parR2C.R2C(parData)
+			seqR2C.Run(seqData)
+			parR2C.Run(parData)
 			if !equalSlices(seqData, parData) {
 				t.Fatalf("m=%d n=%d closed-form %v: parallel R2C differs from sequential", m, n, closed)
 			}
@@ -335,12 +335,13 @@ var tileEdgeShapes = []struct {
 	{32, 800, "gcd 32, b = 25: runs past a line at 4 and 8 bytes, straddled by W"},
 }
 
-// tileEdgeCase runs C2R and R2C of one engine against the oracle,
-// twice each so recycled scratch is exercised.
+// tileEdgeCase runs the C2R and R2C engines of one plan against the
+// oracle, twice each so recycled scratch is exercised.
 func tileEdgeCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers, blockW int) {
 	t.Helper()
 	plan := cr.NewPlan(m, n)
-	eng := NewEngine[T](NewSchedule(plan, Opts{Workers: workers, BlockW: blockW}))
+	o := Opts{Workers: workers, BlockW: blockW}
+	fwd, inv := NewEngine[T](plan, o, true), NewEngine[T](plan, o, false)
 	rng := rand.New(rand.NewSource(int64(m*7919 + n)))
 	orig := make([]T, m*n)
 	for i := range orig {
@@ -352,14 +353,14 @@ func tileEdgeCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, worker
 	name := fmt.Sprintf("%dx%d elem %d workers %d bw %d", m, n, unsafe.Sizeof(zero), workers, blockW)
 	for round := 0; round < 2; round++ {
 		data := append([]T(nil), orig...)
-		eng.C2R(data)
+		fwd.Run(data)
 		for i := range data {
 			if data[i] != want[i] {
 				t.Fatalf("%s: C2R round %d wrong at %d", name, round, i)
 			}
 		}
 		// R2C with the same plan takes the n×m transpose back.
-		eng.R2C(data)
+		inv.Run(data)
 		for i := range data {
 			if data[i] != orig[i] {
 				t.Fatalf("%s: R2C round %d wrong at %d", name, round, i)
@@ -500,22 +501,23 @@ func TestUnshuffleTileEdges(t *testing.T) {
 	}
 }
 
-// scratchCase executes the engine for an m×n plan in both directions,
-// and checks the scratch its state holds afterwards against
-// PlanScratchBytes.
+// scratchCase executes the engines of an m×n plan in both directions
+// through one state, and checks the scratch the state holds afterwards
+// against PlanScratchBytes.
 func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers int) {
 	t.Helper()
 	plan := cr.NewPlan(m, n)
 	o := Opts{Workers: workers}
-	if workers > 1 {
-		o.Pool = parallel.Shared()
-	}
-	eng := NewEngine[T](NewSchedule(plan, o))
-	st := newExecState[T](eng.s)
+	eng := NewEngine[T](plan, o, true)
+	inv := NewEngine[T](plan, o, false)
+	st := newExecState(eng)
 	data := make([]T, m*n)
 	for round := 0; round < 3; round++ {
-		eng.c2r(data, st)
-		eng.r2c(data, st)
+		for _, e := range []*Engine[T]{eng, inv} {
+			for i := range e.passes {
+				e.run(data, st, &e.passes[i])
+			}
+		}
 	}
 	var zero T
 	es := int(unsafe.Sizeof(zero))
@@ -535,7 +537,7 @@ func scratchCase[T uint8 | uint16 | uint32 | uint64](t *testing.T, m, n, workers
 		// The swap sweep: one B×B staging tile per worker with a
 		// chunk of band pairs, none when one tile covers the matrix,
 		// and the figure exact.
-		w, chunks := eng.tileW, len(eng.boundsTiles)-1
+		w, chunks := eng.tileW, len(eng.passes[0].bounds)-1
 		want, stage := 0, 0
 		if w < n {
 			want, stage = chunks*w*w*es, w*w
@@ -614,15 +616,15 @@ func TestRowKernelKinds(t *testing.T) {
 	// The closed-form kernels stay exact when an engine selects them.
 	for _, sh := range [][2]int{{97, 101}, {60, 84}, {84, 60}, {6, 4}} {
 		m, n := sh[0], sh[1]
-		eng := closedFormEngine(cr.NewPlan(m, n), 2)
+		plan := cr.NewPlan(m, n)
 		data := seqSlice(m * n)
 		want := make([]int, m*n)
 		OutOfPlace(want, data, m, n)
-		eng.C2R(data)
+		closedFormEngine(plan, 2, true).Run(data)
 		if !equalSlices(data, want) {
 			t.Fatalf("%dx%d: closed-form C2R wrong", m, n)
 		}
-		eng.R2C(data)
+		closedFormEngine(plan, 2, false).Run(data)
 		if !equalSlices(data, seqSlice(m*n)) {
 			t.Fatalf("%dx%d: closed-form R2C wrong", m, n)
 		}

@@ -1,8 +1,6 @@
 package core
 
-import "inplace/internal/parallel"
-
-// Opts configures an engine invocation.
+// Opts configures an engine.
 type Opts struct {
 	// Workers is the number of goroutines to use; 0 means GOMAXPROCS.
 	Workers int
@@ -10,10 +8,6 @@ type Opts struct {
 	// or the side of a square plan's swap tiles; 0 derives it from the
 	// shape and element size (see TileWidth).
 	BlockW int
-	// Pool, when non-nil, dispatches parallel chunks onto a persistent
-	// worker pool instead of spawning goroutines per pass. Engines never
-	// nest dispatches, as the pool requires.
-	Pool *parallel.Pool
 }
 
 // DefaultBlockW is the sub-row width of the reproduction coarse/fine

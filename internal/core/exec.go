@@ -10,26 +10,27 @@ import (
 	"inplace/internal/parallel"
 )
 
-// Engine binds a Schedule to an element type: it owns the recycled
-// scratch states and the element-size-dependent geometry of the passes,
-// and executes the C2R/R2C transpositions with zero steady-state
-// allocations. One Engine may execute concurrently on distinct buffers;
-// each execution draws a private state from the arena.
+// Engine transposes the array of one plan in one direction: it binds
+// the plan to an element type, lists the passes of that direction with
+// their element-size-dependent geometry and chunk partitions, and owns
+// the recycled scratch states that Run walks the list in, with zero
+// steady-state allocations. One Engine may run concurrently on distinct
+// buffers; each run draws a private state from the arena.
 type Engine[T any] struct {
-	s      *Schedule
-	states *arena.Pool[execState[T]]
+	plan    *cr.Plan
+	workers int
+	passes  []pass
+	states  *arena.Pool[execState[T]]
 
 	// Tile geometry, which depends on the element size: the tile width
 	// and the elements a tile takes in its worker's scratch buffer (see
-	// ScratchBytes), with the chunk partition of the tiled sweeps. A
-	// rectangular plan's column passes share out its ⌈n/tileW⌉ column
-	// tiles, each m·tileW elements; a square plan's swap sweep shares
-	// out its band pairs, each staged through one tileW×tileW tile, or
-	// none when one tile covers the matrix (swap.go).
-	square      bool
-	tileW       int
-	boundsTiles []int
-	tileLen     int
+	// ScratchBytes). A rectangular plan's column passes share out its
+	// ⌈n/tileW⌉ column tiles, each m·tileW elements; a square plan's
+	// swap sweep shares out its band pairs, each staged through one
+	// tileW×tileW tile, or none when one tile covers the matrix
+	// (swap.go).
+	tileW   int
+	tileLen int
 
 	// Row-shuffle kernel (rowshuffle.go), chosen from the shape: its
 	// kind, the interleave block in elements per stream, and the R2C
@@ -39,117 +40,142 @@ type Engine[T any] struct {
 	tabStep int
 }
 
-// NewEngine builds the typed half of an execution plan.
-func NewEngine[T any](s *Schedule) *Engine[T] {
-	e := &Engine[T]{s: s}
-	e.states = arena.NewPool(func() *execState[T] { return newExecState[T](s) })
+// pass is one sweep over the matrix: its kernel, the row shuffle's
+// direction or the tiled pass's mode, and its chunk partition, cut for
+// the engine's workers so that chunk index == scratch frame index.
+type pass struct {
+	kind   passKind
+	c2r    bool
+	mode   tileMode
+	bounds []int
+}
+
+// passKind names the kernel of a pass.
+type passKind int
+
+const (
+	passShuffle passKind = iota // row shuffle (rowshuffle.go)
+	passTile                    // tiled column pass (tile.go)
+	passSwap                    // a square's swap sweep (swap.go)
+)
+
+// NewEngine builds the engine that runs the C2R transposition of p when
+// c2r is set and the R2C transposition otherwise, under options o. It
+// resolves the workers and the tile geometry and lists the passes:
+//
+//	C2R:    [pre-rotation if gcd(m,n) > 1, row shuffle, column shuffle]
+//	R2C:    [column unshuffle, row unshuffle, post-rotation if gcd(m,n) > 1]
+//	square: [swap sweep], in either direction
+//
+// The column shuffle s'_j = p_j∘q is one fused gather (Equations 23, 24,
+// 26, 32–33), R2C inverts C2R sweep by sweep (§4.3), and a square,
+// whose transpose is an involution, swaps tile pairs (swap.go). A plan
+// with one row (m = 1) has no column passes. NewEngine performs no
+// per-element work.
+func NewEngine[T any](p *cr.Plan, o Opts, c2r bool) *Engine[T] {
 	var zero T
 	es := int(unsafe.Sizeof(zero))
-	p := s.Plan
 	m, n := p.M, p.N
-	e.tileW = TileWidth(m, n, es, s.Opts.BlockW)
-	if e.square = m == n; e.square {
-		e.boundsTiles = parallel.Bounds(swapPairs(n, e.tileW), s.workers, 1)
+	e := &Engine[T]{
+		plan:    p,
+		workers: parallel.Workers(o.Workers),
+		passes:  make([]pass, 0, 3),
+		tileW:   TileWidth(m, n, es, o.BlockW),
+		row:     rowKindOf(p.A, p.B, n),
+		rowBlk:  interleaveBlock(p.C, p.B, es),
+		tabStep: p.C * p.DivB().Mod(p.A),
+	}
+	e.states = arena.NewPool(func() *execState[T] { return newExecState(e) })
+	if m == n {
 		if e.tileW < n {
 			e.tileLen = e.tileW * e.tileW // below n·n, which fits
 		}
+		e.passes = append(e.passes, pass{kind: passSwap, bounds: parallel.Bounds(swapPairs(n, e.tileW), e.workers)})
 		return e
 	}
-	e.boundsTiles = parallel.Bounds((n+e.tileW-1)/e.tileW, s.workers, 1)
 	var ok bool
 	if e.tileLen, ok = mathutil.CheckedMul(m, e.tileW); !ok {
 		panic("core: m×tile width overflows int") // unreachable: tileW <= n and m·n fits
 	}
-	e.row = rowKindOf(p.A, p.B, n)
-	e.rowBlk = interleaveBlock(p.C, p.B, es)
-	e.tabStep = p.C * p.DivB().Mod(p.A)
+	rows := pass{kind: passShuffle, c2r: c2r, bounds: parallel.Bounds(m, e.workers)}
+	if m == 1 { // gcd(1, n) = 1, and the column shuffle moves nothing
+		e.passes = append(e.passes, rows)
+		return e
+	}
+	tiles := parallel.Bounds((n+e.tileW-1)/e.tileW, e.workers)
+	if c2r {
+		if !p.Coprime {
+			e.passes = append(e.passes, pass{kind: passTile, mode: tilePreRotate, bounds: tiles})
+		}
+		e.passes = append(e.passes, rows, pass{kind: passTile, mode: tileShuffle, bounds: tiles})
+	} else {
+		e.passes = append(e.passes, pass{kind: passTile, mode: tileShuffleInv, bounds: tiles}, rows)
+		if !p.Coprime {
+			e.passes = append(e.passes, pass{kind: passTile, mode: tilePostRotate, bounds: tiles})
+		}
+	}
 	return e
 }
 
+// Run transposes data in place: afterwards data holds the row-major n×m
+// transpose of the row-major m×n array of the engine's C2R plan, or the
+// row-major m×n transpose of the n×m array of its R2C plan (Theorem 1).
+// len(data) must equal m·n.
+//
+//xpose:hotpath
+func (e *Engine[T]) Run(data []T) {
+	if len(data) != e.plan.Size {
+		panic(badLenMsg(len(data), e.plan))
+	}
+	st := e.states.Get()
+	defer e.states.Put(st)
+	for i := range e.passes {
+		e.run(data, st, &e.passes[i])
+	}
+}
+
 // badLenMsg builds the buffer-length panic message. Kept out of line so
-// the hot entry points contain no fmt machinery.
-func badLenMsg(op string, n int, p *cr.Plan) string {
-	return fmt.Sprintf("core: %s buffer length %d does not match %v", op, n, p)
+// the hot entry point contains no fmt machinery.
+func badLenMsg(n int, p *cr.Plan) string {
+	return fmt.Sprintf("core: buffer length %d does not match %v", n, p)
 }
 
-// C2R performs the in-place C2R transposition of the flat row-major
-// m×n array described by the schedule's plan: afterwards data holds the
-// row-major n×m transpose (Theorem 1). len(data) must equal m·n.
-//
-//xpose:hotpath
-func (e *Engine[T]) C2R(data []T) {
-	if len(data) != e.s.Plan.Size {
-		panic(badLenMsg("C2R", len(data), e.s.Plan))
+// run runs pass ps over its chunk partition of data with the scratch
+// state st: one chunk directly, several on the shared pool through the
+// state's one body, built on its first multi-chunk pass, which reads
+// the buffer and the pass from the state. So no warm execution builds a
+// closure, which together with the arena-backed frames makes runs
+// allocation-free in steady state. Pool dispatches must not nest, and
+// they do not: no pool body runs a multi-worker engine, because
+// TransposeBatch and the permutation steps plan the engines of their
+// slabs at one worker before spreading the slabs over the pool.
+func (e *Engine[T]) run(data []T, st *execState[T], ps *pass) {
+	st.data, st.pass = data, ps
+	if len(ps.bounds) == 2 {
+		e.chunk(st, 0, ps.bounds[0], ps.bounds[1])
+	} else {
+		if st.body == nil {
+			st.body = func(w, lo, hi int) { e.chunk(st, w, lo, hi) }
+		}
+		parallel.Shared().ForBounds(ps.bounds, st.body)
 	}
-	st := e.states.Get()
-	defer e.states.Put(st)
-	e.c2r(data, st)
+	st.data, st.pass = nil, nil
 }
 
-// R2C performs the in-place R2C transposition, the exact inverse of C2R:
-// if data holds a row-major n×m array, R2C with an m×n plan leaves data
-// holding the row-major m×n transpose.
-//
-//xpose:hotpath
-func (e *Engine[T]) R2C(data []T) {
-	if len(data) != e.s.Plan.Size {
-		panic(badLenMsg("R2C", len(data), e.s.Plan))
+// chunk runs chunk [lo, hi) of the state's pass with the scratch of
+// worker w's frame. A column tile takes m·tileW elements of the
+// worker's buffer, which the row shuffle grows to n elements only on
+// the workers that share out the rows.
+func (e *Engine[T]) chunk(st *execState[T], w, lo, hi int) {
+	fr, ps := &st.frames[w], st.pass
+	switch ps.kind {
+	case passShuffle:
+		e.shuffleRows(st.data, fr, ps.c2r, lo, hi)
+	case passTile:
+		tileColumnsRange(st.data, e.plan, ps.mode, e.tileW, fr.elems(e.tileLen), fr.amounts(e.tileW), lo, hi)
+	default:
+		swapBands(st.data, e.plan.N, e.tileW, fr.elems(e.tileLen), lo, hi)
 	}
-	st := e.states.Get()
-	defer e.states.Put(st)
-	e.r2c(data, st)
-}
-
-// c2r composes the C2R transpose from three sweeps: the tiled
-// pre-rotation (only when gcd(m,n) > 1), the row shuffle of
-// rowshuffle.go, and the tiled column shuffle s'_j = p_j∘q fused into
-// one gather (Equations 23, 24, 26, 32–33). A square plan, whose C2R
-// and R2C are the same involution, runs the one swap sweep of swap.go
-// instead. st is the execution's scratch state.
-//
-//xpose:hotpath
-func (e *Engine[T]) c2r(data []T, st *execState[T]) {
-	if e.square {
-		e.swapPass(data, st)
-		return
-	}
-	if !e.s.Plan.Coprime {
-		e.tilePass(data, st, tilePreRotate)
-	}
-	e.shufflePass(data, st, true)
-	e.tilePass(data, st, tileShuffle)
-}
-
-// r2c inverts the C2R transpose sweep by sweep (§4.3), or runs the
-// swap sweep of a square plan.
-//
-//xpose:hotpath
-func (e *Engine[T]) r2c(data []T, st *execState[T]) {
-	if e.square {
-		e.swapPass(data, st)
-		return
-	}
-	e.tilePass(data, st, tileShuffleInv)
-	e.shufflePass(data, st, false)
-	if !e.s.Plan.Coprime {
-		e.tilePass(data, st, tilePostRotate)
-	}
-}
-
-// --- Pass drivers ---
-//
-// Each pass runs over a precomputed chunk partition through run: one
-// chunk directly, several on the schedule's persistent pool or on
-// spawned goroutines through the state's one body, built on its first
-// multi-chunk pass, which reads the buffer and the pass from the state.
-// So no warm execution builds a closure, which together with the
-// arena-backed frames makes executions allocation-free in steady state.
-// The chunk index doubles as the scratch frame index.
-
-// shufflePass runs the row shuffle, C2R or R2C, over all M rows.
-func (e *Engine[T]) shufflePass(data []T, st *execState[T], c2r bool) {
-	st.c2r = c2r
-	e.run(data, st, passShuffle, e.s.boundsM)
 }
 
 // shuffleRows runs the row shuffle of rows [lo, hi) with the kernel the
@@ -159,7 +185,7 @@ func (e *Engine[T]) shufflePass(data []T, st *execState[T], c2r bool) {
 //
 //xpose:hotpath
 func (e *Engine[T]) shuffleRows(data []T, fr *frame[T], c2r bool, lo, hi int) {
-	p := e.s.Plan
+	p := e.plan
 	tmp := fr.elems(p.N)
 	switch e.row {
 	case rowRotate:
@@ -183,53 +209,6 @@ func (e *Engine[T]) shuffleRows(data []T, fr *frame[T], c2r bool, lo, hi int) {
 	}
 }
 
-// tilePass runs one tiled column pass over every column tile. A tile
-// takes m·tileW elements of its worker's buffer, which the row passes
-// grow to n elements only on the workers that share out the rows.
-func (e *Engine[T]) tilePass(data []T, st *execState[T], mode tileMode) {
-	if e.s.Plan.M > 1 {
-		st.mode = mode
-		e.run(data, st, passTile, e.boundsTiles)
-	}
-}
-
-// swapPass runs the swap sweep of a square plan over every band pair.
-func (e *Engine[T]) swapPass(data []T, st *execState[T]) {
-	e.run(data, st, passSwap, e.boundsTiles)
-}
-
-// run runs pass over the chunk partition bounds of data.
-func (e *Engine[T]) run(data []T, st *execState[T], pass passKind, bounds []int) {
-	st.data, st.pass = data, pass
-	if len(bounds) == 2 {
-		e.chunk(st, 0, bounds[0], bounds[1])
-	} else {
-		if st.body == nil {
-			st.body = func(w, lo, hi int) { e.chunk(st, w, lo, hi) }
-		}
-		if e.s.pool != nil {
-			e.s.pool.ForBounds(bounds, st.body)
-		} else {
-			parallel.ForBounds(bounds, st.body)
-		}
-	}
-	st.data = nil
-}
-
-// chunk runs chunk [lo, hi) of the state's pass with the scratch of
-// worker w's frame.
-func (e *Engine[T]) chunk(st *execState[T], w, lo, hi int) {
-	fr := &st.frames[w]
-	switch st.pass {
-	case passShuffle:
-		e.shuffleRows(st.data, fr, st.c2r, lo, hi)
-	case passTile:
-		tileColumnsRange(st.data, e.s.Plan, st.mode, e.tileW, fr.elems(e.tileLen), fr.amounts(e.tileW), lo, hi)
-	default:
-		swapBands(st.data, e.s.Plan.N, e.tileW, fr.elems(e.tileLen), lo, hi)
-	}
-}
-
 // --- Execution state ---
 
 // execState is the private scratch of one execution: a frame per worker
@@ -240,27 +219,15 @@ type execState[T any] struct {
 	frames []frame[T]
 
 	// body is the multi-worker body of every pass (see run). It reads
-	// the pass to run from the fields below, which hold the buffer, the
-	// pass kind, the row shuffle's direction and the tiled pass's mode
-	// for the duration of one pass.
+	// the buffer and the pass to run from the fields below for the
+	// duration of one pass.
 	body func(worker, lo, hi int)
 	data []T
-	pass passKind
-	c2r  bool
-	mode tileMode
+	pass *pass
 }
 
-// passKind names an engine pass for the state's body.
-type passKind int
-
-const (
-	passShuffle passKind = iota // row shuffle (rowshuffle.go)
-	passTile                    // tiled column pass (tile.go)
-	passSwap                    // a square's swap sweep (swap.go)
-)
-
-func newExecState[T any](s *Schedule) *execState[T] {
-	return &execState[T]{frames: make([]frame[T], s.workers)}
+func newExecState[T any](e *Engine[T]) *execState[T] {
+	return &execState[T]{frames: make([]frame[T], e.workers)}
 }
 
 // frame is the per-worker scratch of one execution: the permute-through

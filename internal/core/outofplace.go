@@ -1,8 +1,9 @@
 // Package core implements the in-place transposition engine of the
-// paper. Engine runs the C2R and R2C transpositions of a rectangular
-// plan in at most three sweeps over the matrix, two when gcd(m,n) = 1:
-// the column operations as one-sweep tiled gathers through the
-// closed-form source rows, with the column shuffle's rotation and row
+// paper. An Engine runs the C2R or the R2C transposition of one plan as
+// a list of at most three sweeps over the matrix, two when
+// gcd(m,n) = 1, and one Run walks the list (exec.go): the column
+// operations as one-sweep tiled gathers through the closed-form source
+// rows, with the column shuffle's rotation and row
 // permutation fused (§4.6, §4.7, §5.2; tile.go), and the row shuffle as
 // a rotation, a blocked interleave or a gather through one shared
 // stride table, by shape (rowshuffle.go). With the planner's direction

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"inplace/internal/cr"
-	"inplace/internal/parallel"
 )
 
 // passFamilies are the internal plans (m the smaller dimension) of the
@@ -28,11 +27,13 @@ var passFamilies = []struct {
 	{"perm_slab", 256, 4096, 4},
 }
 
-// BenchmarkEnginePasses times each pass of the engine on one worker, on
-// the plans of passFamilies. A square plan has one pass, the swap sweep;
-// any other plan runs the tiled pre-rotation and its inverse (plans with
-// gcd(m, n) > 1 only), the row shuffle in both directions, and the tiled
-// column shuffle and its inverse. Each pass is reported as "copies", its
+// BenchmarkEnginePasses times the engine on one worker, on the plans of
+// passFamilies: each pass of its C2R list and then of its R2C list, and
+// after each list the whole Run of that direction ("c2r", "r2c"). A
+// square plan's lists are one swap sweep, timed once; any other plan's
+// C2R list is the tiled pre-rotation (plans with gcd(m, n) > 1 only),
+// the row shuffle and the tiled column shuffle, and its R2C list their
+// inverses in reverse order. Each case is reported as "copies", its
 // time over that of a same-size copy timed turn about with it, and "W",
 // the derived tile width.
 //
@@ -51,35 +52,40 @@ func BenchmarkEnginePasses(b *testing.B) {
 
 func benchPasses[T uint32 | uint64](b *testing.B, m, n int) {
 	plan := cr.NewPlan(m, n)
-	eng := NewEngine[T](NewSchedule(plan, Opts{Workers: 1}))
-	st := newExecState[T](eng.s)
 	data, dst := passBuffers[T](m * n)
-	type pass struct {
-		name string
-		run  func()
-	}
-	var passes []pass
-	switch {
-	case eng.square:
-		passes = append(passes, pass{"swap", func() { eng.swapPass(data, st) }})
-	case !plan.Coprime:
-		passes = append(passes,
-			pass{"pre_rotate", func() { eng.tilePass(data, st, tilePreRotate) }},
-			pass{"post_rotate", func() { eng.tilePass(data, st, tilePostRotate) }})
-	}
-	if !eng.square {
-		passes = append(passes,
-			pass{"row_c2r", func() { eng.shufflePass(data, st, true) }},
-			pass{"row_r2c", func() { eng.shufflePass(data, st, false) }},
-			pass{"col_shuffle", func() { eng.tilePass(data, st, tileShuffle) }},
-			pass{"col_unshuffle", func() { eng.tilePass(data, st, tileShuffleInv) }})
-	}
-	for _, ps := range passes {
-		b.Run(ps.name, func(b *testing.B) {
-			timeAgainstCopy(b, ps.run, data, dst)
+	seen := map[string]bool{}
+	for _, c2r := range []bool{true, false} {
+		eng := NewEngine[T](plan, Opts{Workers: 1}, c2r)
+		st := newExecState(eng)
+		for i := range eng.passes {
+			ps := &eng.passes[i]
+			if name := passName(ps); !seen[name] {
+				seen[name] = true
+				b.Run(name, func(b *testing.B) {
+					timeAgainstCopy(b, func() { eng.run(data, st, ps) }, data, dst)
+					b.ReportMetric(float64(eng.tileW), "W")
+				})
+			}
+		}
+		b.Run(map[bool]string{true: "c2r", false: "r2c"}[c2r], func(b *testing.B) {
+			timeAgainstCopy(b, func() { eng.Run(data) }, data, dst)
 			b.ReportMetric(float64(eng.tileW), "W")
 		})
 	}
+}
+
+// passName names a pass of an engine's list.
+func passName(ps *pass) string {
+	switch {
+	case ps.kind == passSwap:
+		return "swap"
+	case ps.kind == passShuffle && ps.c2r:
+		return "row_c2r"
+	case ps.kind == passShuffle:
+		return "row_r2c"
+	}
+	return [...]string{tilePreRotate: "pre_rotate", tilePostRotate: "post_rotate",
+		tileShuffle: "col_shuffle", tileShuffleInv: "col_unshuffle"}[ps.mode]
 }
 
 // BenchmarkSwapWidths sweeps the swap sweep's tile width B over 16, 32,
@@ -113,14 +119,9 @@ func BenchmarkSwapWidths(b *testing.B) {
 func benchSwapWidths[T passElem](b *testing.B, n, workers int) {
 	data, dst := passBuffers[T](n * n)
 	for _, bw := range []int{0, 16, 32, 64, 128, 256} {
-		o := Opts{Workers: workers, BlockW: bw}
-		if workers > 1 {
-			o.Pool = parallel.Shared()
-		}
-		eng := NewEngine[T](NewSchedule(cr.NewPlan(n, n), o))
-		st := newExecState[T](eng.s)
+		eng := NewEngine[T](cr.NewPlan(n, n), Opts{Workers: workers, BlockW: bw}, true)
 		b.Run(fmt.Sprintf("B%d", bw), func(b *testing.B) {
-			timeAgainstCopy(b, func() { eng.swapPass(data, st) }, data, dst)
+			timeAgainstCopy(b, func() { eng.Run(data) }, data, dst)
 			b.ReportMetric(float64(eng.tileW), "B")
 		})
 	}

@@ -9,67 +9,55 @@ import (
 //
 //  1. The partition is contiguous and covers exactly [0, n) (or is the
 //     empty [0, 0] partition for n <= 0).
-//  2. Every chunk is non-empty, and at least minChunk wide — except that
-//     n < minChunk yields one chunk covering everything.
+//  2. Every chunk is non-empty.
 //  3. The chunk count never exceeds the resolved worker count: the
 //     engines index per-worker scratch frames by chunk number, so a
 //     partition with more chunks than workers would read out of range.
-func checkBoundsInvariants(t *testing.T, n, workers, minChunk int) {
+func checkBoundsInvariants(t *testing.T, n, workers int) {
 	t.Helper()
-	bounds := Bounds(n, workers, minChunk)
+	bounds := Bounds(n, workers)
 	if len(bounds) < 2 {
-		t.Fatalf("Bounds(%d, %d, %d) = %v: want at least one chunk", n, workers, minChunk, bounds)
+		t.Fatalf("Bounds(%d, %d) = %v: want at least one chunk", n, workers, bounds)
 	}
 	if bounds[0] != 0 {
-		t.Fatalf("Bounds(%d, %d, %d) = %v: does not start at 0", n, workers, minChunk, bounds)
+		t.Fatalf("Bounds(%d, %d) = %v: does not start at 0", n, workers, bounds)
 	}
 	if n <= 0 {
 		if len(bounds) != 2 || bounds[1] != 0 {
-			t.Fatalf("Bounds(%d, %d, %d) = %v: want [0 0]", n, workers, minChunk, bounds)
+			t.Fatalf("Bounds(%d, %d) = %v: want [0 0]", n, workers, bounds)
 		}
 		return
 	}
 	if last := bounds[len(bounds)-1]; last != n {
-		t.Fatalf("Bounds(%d, %d, %d) = %v: does not end at n", n, workers, minChunk, bounds)
-	}
-	mc := minChunk
-	if mc < 1 {
-		mc = 1
+		t.Fatalf("Bounds(%d, %d) = %v: does not end at n", n, workers, bounds)
 	}
 	nchunks := len(bounds) - 1
 	for k := 0; k < nchunks; k++ {
-		size := bounds[k+1] - bounds[k]
-		if size <= 0 {
-			t.Fatalf("Bounds(%d, %d, %d) = %v: empty chunk %d", n, workers, minChunk, bounds, k)
-		}
-		if size < mc && nchunks > 1 {
-			t.Fatalf("Bounds(%d, %d, %d) = %v: chunk %d narrower than minChunk", n, workers, minChunk, bounds, k)
+		if bounds[k+1]-bounds[k] <= 0 {
+			t.Fatalf("Bounds(%d, %d) = %v: empty chunk %d", n, workers, bounds, k)
 		}
 	}
 	if nchunks > Workers(workers) {
-		t.Fatalf("Bounds(%d, %d, %d) = %v: %d chunks exceed %d workers",
-			n, workers, minChunk, bounds, nchunks, Workers(workers))
+		t.Fatalf("Bounds(%d, %d) = %v: %d chunks exceed %d workers",
+			n, workers, bounds, nchunks, Workers(workers))
 	}
 }
 
 func TestBoundsEdgeCases(t *testing.T) {
-	cases := []struct{ n, workers, minChunk int }{
-		{0, 4, 1},       // empty range
-		{0, 0, 0},       // empty range, defaulted workers and minChunk
-		{-3, 4, 2},      // negative range
-		{5, 4, 10},      // minChunk > n: one chunk
-		{10, 100, 3},    // workers > n/minChunk: clamped
-		{10, 3, 3},      // tail shorter than minChunk: merged
-		{1, 1, 1},       // singleton
-		{1, 64, 512},    // singleton with huge minChunk
-		{7, 7, 1},       // one item per worker
-		{8, 7, 1},       // one spare item
-		{512, 4, 512},   // minChunk == n
-		{513, 4, 512},   // minChunk barely < n: tail must merge
-		{1 << 20, 0, 1}, // GOMAXPROCS workers
+	cases := []struct{ n, workers int }{
+		{0, 4},       // empty range
+		{0, 0},       // empty range, defaulted workers
+		{-3, 4},      // negative range
+		{10, 100},    // workers > n: clamped
+		{10, 3},      // a shorter last chunk
+		{1, 1},       // singleton
+		{1, 64},      // singleton, many workers
+		{7, 7},       // one item per worker
+		{8, 7},       // one spare item
+		{1 << 20, 0}, // GOMAXPROCS workers
 	}
 	for _, c := range cases {
-		checkBoundsInvariants(t, c.n, c.workers, c.minChunk)
+		checkBoundsInvariants(t, c.n, c.workers)
 	}
 }
 
@@ -81,7 +69,6 @@ func TestBoundsPropertyRandom(t *testing.T) {
 			n = rng.Intn(4) // stress tiny ranges
 		}
 		workers := rng.Intn(66) - 1 // includes -1 and 0 (defaulted)
-		minChunk := rng.Intn(600) - 2
-		checkBoundsInvariants(t, n, workers, minChunk)
+		checkBoundsInvariants(t, n, workers)
 	}
 }

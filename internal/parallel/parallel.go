@@ -19,41 +19,22 @@ func Workers(w int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Bounds partitions [0, n) into at most `workers` contiguous chunks and
+// Bounds partitions [0, n) into at most `workers` contiguous chunks of
+// ⌈n/workers⌉ items, the last possibly shorter but never empty, and
 // returns the boundaries as lo offsets terminated by n, so chunk k is
-// [bounds[k], bounds[k+1]). Every chunk has at least minChunk items —
-// a short tail is merged into the preceding chunk — except when
-// n < minChunk, in which case a single chunk covers everything.
-//
-// The skinny band-gather kernels rely on the minimum-size guarantee: a
-// chunk must be at least as wide as the band it reads ahead, so that each
-// read lands either in the reader's own chunk or in the saved prefix of
-// the immediately following one.
-func Bounds(n, workers, minChunk int) []int {
+// [bounds[k], bounds[k+1]). An empty range yields the one chunk [0, 0].
+func Bounds(n, workers int) []int {
 	if n <= 0 {
 		return []int{0, 0}
 	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	workers = Workers(workers)
-	if maxW := n / minChunk; workers > maxW {
-		workers = maxW
-	}
+	workers = min(Workers(workers), n)
 	if workers <= 1 {
 		return []int{0, n}
 	}
 	chunk := (n + workers - 1) / workers
-	if chunk < minChunk {
-		chunk = minChunk
-	}
 	bounds := make([]int, 0, workers+1)
 	for lo := 0; lo < n; lo += chunk {
 		bounds = append(bounds, lo)
-	}
-	// Merge a short tail into the previous chunk.
-	if last := bounds[len(bounds)-1]; len(bounds) > 1 && n-last < minChunk {
-		bounds = bounds[:len(bounds)-1]
 	}
 	return append(bounds, n)
 }
@@ -85,5 +66,5 @@ func ForBounds(bounds []int, body func(worker, lo, hi int)) {
 // For divides [0, n) across at most `workers` goroutines and invokes
 // body(worker, lo, hi) per chunk, blocking until all complete.
 func For(n, workers int, body func(worker, lo, hi int)) {
-	ForBounds(Bounds(n, workers, 1), body)
+	ForBounds(Bounds(n, workers), body)
 }

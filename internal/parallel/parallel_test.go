@@ -18,18 +18,14 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func checkBounds(t *testing.T, bounds []int, n, minChunk int) {
+func checkBounds(t *testing.T, bounds []int, n int) {
 	t.Helper()
 	if bounds[0] != 0 || bounds[len(bounds)-1] != n {
 		t.Fatalf("bounds %v do not span [0,%d)", bounds, n)
 	}
 	for k := 0; k+1 < len(bounds); k++ {
-		size := bounds[k+1] - bounds[k]
-		if size <= 0 {
+		if bounds[k+1]-bounds[k] <= 0 {
 			t.Fatalf("bounds %v contain empty chunk", bounds)
-		}
-		if n >= minChunk && size < minChunk {
-			t.Fatalf("bounds %v: chunk %d smaller than minChunk %d", bounds, k, minChunk)
 		}
 	}
 }
@@ -37,27 +33,18 @@ func checkBounds(t *testing.T, bounds []int, n, minChunk int) {
 func TestBoundsProperties(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 16, 100, 101, 1000} {
 		for _, w := range []int{1, 2, 3, 4, 7, 8, 16, 0} {
-			for _, mc := range []int{1, 2, 3, 5, 8, 50} {
-				bounds := Bounds(n, w, mc)
-				if n == 0 {
-					if len(bounds) != 2 || bounds[0] != 0 || bounds[1] != 0 {
-						t.Fatalf("Bounds(0,...) = %v", bounds)
-					}
-					continue
+			bounds := Bounds(n, w)
+			if n == 0 {
+				if len(bounds) != 2 || bounds[0] != 0 || bounds[1] != 0 {
+					t.Fatalf("Bounds(0,...) = %v", bounds)
 				}
-				checkBounds(t, bounds, n, mc)
-				if got, max := len(bounds)-1, Workers(w); got > max {
-					t.Fatalf("Bounds(%d,%d,%d) = %v has %d chunks, worker cap %d", n, w, mc, bounds, got, max)
-				}
+				continue
+			}
+			checkBounds(t, bounds, n)
+			if got, max := len(bounds)-1, Workers(w); got > max {
+				t.Fatalf("Bounds(%d,%d) = %v has %d chunks, worker cap %d", n, w, bounds, got, max)
 			}
 		}
-	}
-}
-
-func TestBoundsSingleWhenTiny(t *testing.T) {
-	bounds := Bounds(3, 8, 10) // n < minChunk
-	if len(bounds) != 2 || bounds[1] != 3 {
-		t.Fatalf("Bounds tiny = %v", bounds)
 	}
 }
 
@@ -103,7 +90,7 @@ func TestForWorkerIndicesDistinct(t *testing.T) {
 func TestForBoundsParallelSum(t *testing.T) {
 	n := 100000
 	var total int64
-	ForBounds(Bounds(n, 8, 1), func(worker, lo, hi int) {
+	ForBounds(Bounds(n, 8), func(worker, lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
 			local += int64(i)

@@ -96,7 +96,7 @@ func (p *Pool) ForBounds(bounds []int, body func(worker, lo, hi int)) {
 // For divides [0, n) across at most `workers` chunks and runs them on the
 // pool, blocking until all complete.
 func (p *Pool) For(n, workers int, body func(worker, lo, hi int)) {
-	p.ForBounds(Bounds(n, workers, 1), body)
+	p.ForBounds(Bounds(n, workers), body)
 }
 
 // Close terminates the pool's workers. Dispatching after Close panics.

@@ -12,7 +12,7 @@ func TestPoolForBoundsCoversRangeExactlyOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 64, 1000} {
 		for _, w := range []int{1, 3, 8, 0} {
 			hits := make([]int32, n)
-			p.ForBounds(Bounds(n, w, 1), func(worker, lo, hi int) {
+			p.ForBounds(Bounds(n, w), func(worker, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -31,7 +31,7 @@ func TestPoolMatchesSpawningForBounds(t *testing.T) {
 	defer p.Close()
 	n := 100000
 	var pooled, spawned int64
-	bounds := Bounds(n, 8, 1)
+	bounds := Bounds(n, 8)
 	p.ForBounds(bounds, func(worker, lo, hi int) {
 		var local int64
 		for i := lo; i < hi; i++ {
@@ -83,7 +83,7 @@ func TestPoolConcurrentCallers(t *testing.T) {
 			for it := 0; it < 50; it++ {
 				n := 999
 				var total int64
-				p.ForBounds(Bounds(n, 8, 1), func(worker, lo, hi int) {
+				p.ForBounds(Bounds(n, 8), func(worker, lo, hi int) {
 					var local int64
 					for i := lo; i < hi; i++ {
 						local += int64(i)
@@ -105,7 +105,7 @@ func TestPoolWorkerIndicesWithinFrameRange(t *testing.T) {
 	// they must stay below the chunk count of the bounds partition.
 	p := NewPool(4)
 	defer p.Close()
-	bounds := Bounds(100, 4, 1)
+	bounds := Bounds(100, 4)
 	nchunks := len(bounds) - 1
 	seen := make([]int32, nchunks)
 	p.ForBounds(bounds, func(worker, lo, hi int) {
@@ -127,7 +127,7 @@ func TestSharedPoolSingleton(t *testing.T) {
 		t.Fatal("Shared() returned distinct pools")
 	}
 	var total int64
-	Shared().ForBounds(Bounds(1000, 0, 1), func(worker, lo, hi int) {
+	Shared().ForBounds(Bounds(1000, 0), func(worker, lo, hi int) {
 		atomic.AddInt64(&total, int64(hi-lo))
 	})
 	if total != 1000 {

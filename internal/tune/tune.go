@@ -118,17 +118,10 @@ func TuneFor[T any](rows, cols int, cfg Config) (Decision, error) {
 		data = make([]T, size)
 	}
 	s := Search[Candidate]{Opts: cfg.MeasureOpts, Cost: cfg.Cost, Run: func(c Candidate) (func() error, error) {
-		opts := core.Opts{Workers: c.Workers, BlockW: c.BlockW}
-		if parallel.Workers(c.Workers) > 1 {
-			opts.Pool = parallel.Shared()
-		}
-		eng := core.NewEngine[T](core.NewSchedule(plans[c.C2R], opts))
+		eng := core.NewEngine[T](plans[c.C2R], core.Opts{Workers: c.Workers, BlockW: c.BlockW}, c.C2R)
 		// The transpositions are data-independent permutations, so timing
 		// does not care that successive runs keep permuting the buffer.
-		if c.C2R {
-			return func() error { eng.C2R(data); return nil }, nil
-		}
-		return func() error { eng.R2C(data); return nil }, nil
+		return func() error { eng.Run(data); return nil }, nil
 	}}
 
 	// Stage 1: both directions at full budget, the heuristic's own

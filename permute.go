@@ -19,7 +19,7 @@ import (
 // stays the only data mover: the permutation is canonicalized (size-1
 // axes stripped, fused runs collapsed — see internal/tensor) and the
 // normal form factored into a sequence of batched 2D transpositions,
-// each executed by the existing Schedule/Engine per contiguous slab.
+// each executed by the existing 2D engine per contiguous slab.
 // The rank-2 [1,0] case canonicalizes to exactly one single-slab step
 // planned by the same newPlanElem path Transpose uses, so there is one
 // planning path, not two.

@@ -10,13 +10,13 @@ import (
 )
 
 // Planner binds a Plan to an element type and owns everything repeated
-// executions of the same shape can share: the precomputed pass schedule
-// (chunk partitions, fixed-point divisors), the column-tile geometry and
-// row-shuffle kernel for its element size, a recycled scratch arena
-// sized for the plan, and — for multi-worker plans — the process-wide
-// persistent worker pool. After the first
-// Execute has warmed the arena, subsequent Executes perform no heap
-// allocation at all.
+// executions of the same shape can share: the engine's list of passes in
+// the plan's direction (with their chunk partitions and fixed-point
+// divisors), the column-tile geometry and row-shuffle kernel for its
+// element size, and a recycled scratch arena sized for the plan.
+// Multi-worker passes run on the process-wide persistent worker pool.
+// After the first Execute has warmed the arena, subsequent Executes
+// perform no heap allocation at all.
 //
 // A Planner is safe for concurrent use: simultaneous Executes on
 // distinct buffers each draw a private scratch state from the arena.
@@ -42,13 +42,7 @@ func NewPlanner[T any](rows, cols int, opts ...Options) (*Planner[T], error) {
 }
 
 func newPlanner[T any](p *Plan) *Planner[T] {
-	op := p.opts
-	if parallel.Workers(op.Workers) > 1 {
-		// Multi-worker plans dispatch passes onto the persistent
-		// process-wide pool instead of spawning goroutines per pass.
-		op.Pool = parallel.Shared()
-	}
-	return &Planner[T]{p: p, eng: core.NewEngine[T](core.NewSchedule(p.plan, op))}
+	return &Planner[T]{p: p, eng: core.NewEngine[T](p.plan, p.opts, p.useC2R)}
 }
 
 // Execute transposes data in place according to the plan. data must
@@ -60,19 +54,8 @@ func (pl *Planner[T]) Execute(data []T) error {
 	if len(data) != pl.p.size {
 		return lengthErr(len(data), pl.p.size)
 	}
-	pl.run(data)
+	pl.eng.Run(data)
 	return nil
-}
-
-// run transposes data, whose length the caller has checked.
-//
-//xpose:hotpath
-func (pl *Planner[T]) run(data []T) {
-	if pl.p.useC2R {
-		pl.eng.C2R(data)
-	} else {
-		pl.eng.R2C(data)
-	}
 }
 
 // Plan returns the underlying shape plan.
@@ -228,13 +211,13 @@ func forSlabs[T any](pl *Planner[T], data []T, count, workers int) {
 	stride := pl.p.size
 	if count == 1 || parallel.Workers(workers) == 1 {
 		for k := range count {
-			pl.run(data[k*stride : (k+1)*stride])
+			pl.eng.Run(data[k*stride : (k+1)*stride])
 		}
 		return
 	}
 	parallel.Shared().For(count, workers, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
-			pl.run(data[k*stride : (k+1)*stride])
+			pl.eng.Run(data[k*stride : (k+1)*stride])
 		}
 	})
 }
